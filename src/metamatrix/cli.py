@@ -80,18 +80,33 @@ def _cached_ntable(
     if path.exists():
         try:
             payload = json.loads(path.read_text())
-            if payload.get("checksum") == _checksum(payload):
+            if isinstance(payload, dict) and payload.get("checksum") == _checksum(payload):
                 counts = tuple(
                     tuple(int(x) for x in row) for row in payload["ntable"]
                 )
                 return engine.NTable(n=len(counts) - 1, counts=counts)
-        except (ValueError, KeyError):
-            pass  # corrupt cache entry: recompute below
+        except (OSError, ValueError, KeyError):
+            pass  # unreadable or corrupt cache entry: recompute below
     system = build_system(family, rank, m)
     table = engine.accumulate_ntable(system, workers=workers, progress=progress)
-    cache.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_ntable_payload(family, rank, m, system.order, table)))
+    try:
+        _write_atomic(path, json.dumps(_ntable_payload(family, rank, m, system.order, table)))
+    except OSError as exc:
+        click.echo(f"warning: N-table not cached: {exc}", err=True)
     return table
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory, so a reader sees the
+    old entry or the whole new one, never a partial write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _matrix_json(family, rank, m, pipeline, entries) -> str:
@@ -133,6 +148,8 @@ def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, in
         return fam, 2, m
     if rank is None:
         raise click.UsageError("--rank is required for this family")
+    if rank < 1:
+        raise click.UsageError("--rank must be positive")
     return fam, rank, None
 
 
@@ -237,6 +254,13 @@ def compute(family, rank, m, workers, cache_dir, method, fmt, allow_long_running
     _emit_matrix(result.entries, fmt, fam, rank, m, result.provenance)
 
 
+def _parse_entry(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}")
+
+
 def _parse_matrix_text(text: str) -> Matrix:
     if not text.strip():
         raise ValueError("empty matrix input")
@@ -244,7 +268,11 @@ def _parse_matrix_text(text: str) -> Matrix:
     if stripped[0] in "{[":
         payload = json.loads(text)
         grid = payload["matrix"] if isinstance(payload, dict) else payload
-        return Matrix.from_rows([[Fraction(str(x)) for x in row] for row in grid])
+        if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+            raise ValueError("the matrix must be a list of rows")
+        if not grid:
+            raise ValueError("the matrix has no rows")
+        return Matrix.from_rows([[_parse_entry(str(x)) for x in row] for row in grid])
     rows = []
     width = None
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -253,7 +281,7 @@ def _parse_matrix_text(text: str) -> Matrix:
         row = []
         for col, tok in enumerate(line.split(), start=1):
             try:
-                row.append(Fraction(tok))
+                row.append(_parse_entry(tok))
             except ValueError:
                 raise ValueError(f"line {ln}, column {col}: cannot parse {tok!r}")
         if width is None:

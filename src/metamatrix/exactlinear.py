@@ -225,13 +225,31 @@ def invert(a: Matrix) -> Matrix:
     return Matrix.from_rows([row[n:] for row in aug])
 
 
+def _inverse_pascal_apply(x: Sequence[Scalar]) -> list[Scalar]:
+    """P^{-1} x, which is the forward differences (Delta^i x)_0, i = 0..len(x)-1,
+    because (P^{-1})_ij = (-1)^(i-j) C(i, j)."""
+    out = []
+    x = list(x)
+    while x:
+        out.append(x[0])
+        x = [b - a for a, b in zip(x, x[1:])]
+    return out
+
+
 def conjugate_by_inverse_pascal(l_mat: Matrix) -> Matrix:
-    """Compute T with L = P * T * P^t, i.e. T = P^{-1} * L * (P^{-1})^t."""
+    """Compute T with L = P * T * P^t, i.e. T = P^{-1} * L * (P^{-1})^t.
+
+    P^{-1} is applied as forward differences, first down each column of L and
+    then along each row, in python ints when every entry is an integer.
+    """
     if not l_mat.is_square:
         raise ValueError("square matrix required")
-    n = l_mat.rows - 1
-    p_inv = invert_lower_triangular(pascal_matrix(n))
-    return p_inv * l_mat * p_inv.transpose()
+    try:
+        grid: list[list[Scalar]] = l_mat.to_int_rows()
+    except ValueError:
+        grid = l_mat.to_rows()
+    columns = [_inverse_pascal_apply(col) for col in zip(*grid)]
+    return Matrix.from_rows([_inverse_pascal_apply(row) for row in zip(*columns)])
 
 
 def verify_alternating_identity(n: int, k: int) -> bool:

@@ -260,3 +260,68 @@ class TestScmCount:
 
     def test_out_of_range(self, runner):
         assert runner.invoke(main, ["scm-count", "2", "3", "1"]).exit_code == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "text",
+        ['{"matrix": []}', "[]", '{"matrix": 5}', '[["1/0"]]', "1/0 1\n1 1\n"],
+        ids=["empty-matrix-key", "empty-list", "scalar-matrix", "zero-denominator-json",
+             "zero-denominator-grid"],
+    )
+    def test_check_tp_rejects(self, runner, text):
+        res = runner.invoke(main, ["check-tp", "-"], input=text)
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        [line] = [ln for ln in res.output.splitlines() if "cannot read matrix:" in ln]
+        assert line.startswith("Error: cannot read matrix: ")
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "ntable"])
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    def test_nonpositive_rank_is_usage_error(self, runner, tmp_path, command, rank):
+        res = runner.invoke(
+            main, [command, "--family", "B", "--rank", rank, "--cache-dir", str(tmp_path)]
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "--rank must be positive" in res.output
+
+
+class TestCacheWrite:
+    def args(self, cache):
+        return [
+            "compute", "--family", "B", "--rank", "3",
+            "--method", "enumerate", "--format", "json", "--cache-dir", str(cache),
+        ]
+
+    def test_unwritable_cache_dir_warns_and_computes(self, runner, tmp_path):
+        not_a_dir = tmp_path / "plain-file"
+        not_a_dir.write_text("")
+        res = runner.invoke(main, self.args(not_a_dir))
+        assert res.exit_code == 0
+        assert matrix_of(res.stdout) == [list(r) for r in metamatrix_typeb(3).entries]
+        [warning] = res.stderr.splitlines()
+        assert warning.startswith("warning: N-table not cached")
+        assert not_a_dir.read_text() == ""
+
+    def test_non_object_entry_recomputed(self, runner, tmp_path):
+        (tmp_path / "B3.ntable.json").write_text("[]")
+        res = runner.invoke(main, self.args(tmp_path))
+        assert res.exit_code == 0
+        assert matrix_of(res.stdout) == [list(r) for r in metamatrix_typeb(3).entries]
+
+    def test_directory_in_place_of_entry(self, runner, tmp_path):
+        (tmp_path / "B3.ntable.json").mkdir()
+        res = runner.invoke(main, self.args(tmp_path))
+        assert res.exit_code == 0
+        assert matrix_of(res.stdout) == [list(r) for r in metamatrix_typeb(3).entries]
+        assert res.stderr.startswith("warning: N-table not cached")
+        assert [p.name for p in tmp_path.iterdir()] == ["B3.ntable.json"]
+
+    def test_write_leaves_no_temp_file(self, runner, tmp_path):
+        res = runner.invoke(main, self.args(tmp_path))
+        assert res.exit_code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["B3.ntable.json"]
+        payload = json.loads((tmp_path / "B3.ntable.json").read_text())
+        assert payload["checksum"] == cli._checksum(payload)

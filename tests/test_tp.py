@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
-from metamatrix.exactlinear import Matrix, bareiss_det
+from metamatrix.exactlinear import (
+    Matrix,
+    bareiss_det,
+    conjugate_by_inverse_pascal,
+    invert_lower_triangular,
+    pascal_matrix,
+)
 from metamatrix.tp import (
     ALL_MINORS_SIZE_CAP,
     all_minors_positive,
@@ -120,3 +128,143 @@ class TestGaussDecomposition:
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             gauss_decomposition_typeb(0)
+
+
+def fekete_by_bareiss(a: Matrix):
+    """Reference Fekete scan: one Bareiss determinant per solid window, in
+    the order size, first row, first column.  Returns (verdict,
+    minors_checked, witness as (rows, cols, value) or None)."""
+    n = a.rows
+    checked = 0
+    for k in range(1, n + 1):
+        for i in range(n - k + 1):
+            for j in range(n - k + 1):
+                rows, cols = tuple(range(i, i + k)), tuple(range(j, j + k))
+                checked += 1
+                value = bareiss_det(a.submatrix(rows, cols))
+                if value <= 0:
+                    return "not-totally-positive", checked, (rows, cols, value)
+    return "totally-positive", checked, None
+
+
+def assert_matches_reference(a: Matrix):
+    cert = fekete_check(a)
+    verdict, checked, witness = fekete_by_bareiss(a)
+    assert cert.verdict == verdict
+    assert cert.minors_checked == checked
+    if witness is None:
+        assert cert.witness is None
+    else:
+        assert (cert.witness.rows, cert.witness.cols, cert.witness.minor) == witness
+        assert type(cert.witness.minor) is Fraction
+
+
+def tp_tables():
+    return [Matrix.from_rows(golden.H3), Matrix.from_rows(golden.F4)] + [
+        scm_table(n) for n in range(2, 7)
+    ]
+
+
+small_ints = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 6), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+small_fractions = st.builds(Fraction, st.integers(-4, 9), st.integers(1, 6))
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return Matrix.from_rows(
+        [[draw(small_fractions) for _ in range(n)] for _ in range(n)]
+    )
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A totally-positive table with one entry moved by a small amount."""
+    rows = draw(st.sampled_from(tp_tables())).to_rows()
+    n = len(rows)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows[i][j] += draw(st.integers(-3, 3))
+    return Matrix.from_rows(rows)
+
+
+@st.composite
+def zeroed_windows(draw):
+    """A totally-positive table whose bottom-right entry of one solid window
+    is lowered until that window's determinant is exactly zero, so the scan
+    stops deep inside the table on a zero minor."""
+    table = draw(st.sampled_from(tp_tables()))
+    n = table.rows
+    k = draw(st.integers(2, n))
+    i, j = draw(st.integers(0, n - k)), draw(st.integers(0, n - k))
+    window = table.submatrix(range(i, i + k), range(j, j + k))
+    inner = window.submatrix(range(k - 1), range(k - 1))
+    rows = table.to_rows()
+    rows[i + k - 1][j + k - 1] -= bareiss_det(window) / bareiss_det(inner)
+    return Matrix.from_rows(rows)
+
+
+@st.composite
+def row_scaled_tables(draw):
+    """A totally-positive table with each row divided by a small integer."""
+    table = draw(st.sampled_from(tp_tables()))
+    rows = []
+    for row in table.to_rows():
+        divisor = draw(st.integers(1, 7))
+        rows.append([x / divisor for x in row])
+    return Matrix.from_rows(rows)
+
+
+class TestCondensationMatchesBareiss:
+    @settings(max_examples=300, deadline=None)
+    @given(small_ints)
+    def test_small_integer_matrices(self, grid):
+        assert_matches_reference(Matrix.from_rows(grid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_rational_matrices(self, a):
+        assert_matches_reference(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(perturbed_tables())
+    def test_perturbed_tables(self, a):
+        assert_matches_reference(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(zeroed_windows())
+    def test_zero_minor_deep_in_table(self, a):
+        assert_matches_reference(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(row_scaled_tables())
+    def test_row_scaled_tables(self, a):
+        assert_matches_reference(a)
+
+    @pytest.mark.parametrize("a", tp_tables())
+    def test_tp_tables(self, a):
+        assert_matches_reference(a)
+
+    def test_singular_integer_matrix(self):
+        assert_matches_reference(Matrix.from_rows([[1, 2, 3], [2, 5, 8], [3, 8, 13]]))
+
+
+class TestIntegerConjugation:
+    def reference(self, l_mat: Matrix) -> Matrix:
+        p_inv = invert_lower_triangular(pascal_matrix(l_mat.rows - 1))
+        return p_inv * l_mat * p_inv.transpose()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_ints)
+    def test_integer_input(self, grid):
+        l_mat = Matrix.from_rows(grid)
+        assert conjugate_by_inverse_pascal(l_mat) == self.reference(l_mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices())
+    def test_fraction_input(self, l_mat):
+        assert conjugate_by_inverse_pascal(l_mat) == self.reference(l_mat)
