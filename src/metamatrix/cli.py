@@ -56,6 +56,7 @@ def _ntable_payload(family, rank, m, order, table: engine.NTable) -> dict:
         "rank": rank,
         "m": m,
         "order": str(order),
+        "engine_version": engine.ENGINE_VERSION,
         "ntable": [[str(x) for x in row] for row in table.counts],
     }
     payload["checksum"] = _checksum(payload)
@@ -68,26 +69,34 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _cached_ntable(
-    family: str,
-    rank: int,
-    m: int | None,
-    cache: Path,
-    workers: int,
-    progress=None,
-) -> engine.NTable:
+def _read_cached(path: Path, system) -> engine.NTable | None:
+    """The cached N-table at `path`, or None when the entry is missing,
+    unreadable, corrupt, written by another engine version, or fails the
+    N-table invariants for `system`."""
+    try:
+        payload = json.loads(path.read_text())
+        if not (
+            isinstance(payload, dict)
+            and payload.get("checksum") == _checksum(payload)
+            and payload.get("engine_version") == engine.ENGINE_VERSION
+        ):
+            return None
+        counts = tuple(tuple(int(x) for x in row) for row in payload["ntable"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    table = engine.NTable(n=system.rank, counts=counts)
+    if engine.ntable_invariant_failure(table, system.order) is not None:
+        return None
+    return table
+
+
+def _cached_ntable(system, cache: Path, workers: int, progress=None) -> engine.NTable:
+    family, rank, m = system.family, system.rank, system.m
     path = cache / f"{_label(family, rank, m)}.ntable.json"
     if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-            if isinstance(payload, dict) and payload.get("checksum") == _checksum(payload):
-                counts = tuple(
-                    tuple(int(x) for x in row) for row in payload["ntable"]
-                )
-                return engine.NTable(n=len(counts) - 1, counts=counts)
-        except (OSError, ValueError, KeyError):
-            pass  # unreadable or corrupt cache entry: recompute below
-    system = build_system(family, rank, m)
+        table = _read_cached(path, system)
+        if table is not None:
+            return table
     table = engine.accumulate_ntable(system, workers=workers, progress=progress)
     try:
         _write_atomic(path, json.dumps(_ntable_payload(family, rank, m, system.order, table)))
@@ -187,7 +196,7 @@ def _compute_metamatrix(
                 "E8 enumeration is a long-running job; re-run with --allow-long-running"
             )
         progress = _progress_printer(_label(fam, rank, m)) if fam == "E" and rank == 8 else None
-        table = _cached_ntable(fam, rank, m, cache, workers, progress)
+        table = _cached_ntable(build_system(fam, rank, m), cache, workers, progress)
         return engine.metamatrix_from_ntable(table)
     # oracle
     try:
@@ -211,7 +220,12 @@ _common = [
     click.option("--family", required=True, help="A, B, D, I2, H, F, or E"),
     click.option("--rank", type=int, default=None),
     click.option("--m", type=int, default=None, help="bond order for I2"),
-    click.option("--workers", type=int, default=None, help="worker count (default: cpu count)"),
+    click.option(
+        "--workers",
+        type=click.IntRange(min=1),
+        default=None,
+        help="worker processes, at most one per usable CPU (default: cpu count)",
+    ),
     click.option("--cache-dir", default=None, help="N-table cache directory"),
 ]
 
@@ -267,6 +281,8 @@ def _parse_matrix_text(text: str) -> Matrix:
     stripped = text.lstrip()
     if stripped[0] in "{[":
         payload = json.loads(text)
+        if isinstance(payload, dict) and "matrix" not in payload:
+            raise ValueError('the JSON object has no "matrix" key')
         grid = payload["matrix"] if isinstance(payload, dict) else payload
         if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
             raise ValueError("the matrix must be a list of rows")
@@ -306,7 +322,7 @@ def check_tp(source, method):
         matrix = _parse_matrix_text(text)
         if not matrix.is_square:
             raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, not square")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read matrix: {exc}")
     if method == "auto":
         method = "all-minors" if matrix.rows <= 9 else "fekete"
@@ -351,7 +367,7 @@ def verify(family, rank, m, workers, cache_dir):
             if fam == "E" and rank == 8:
                 raise ResourceLimit("E8 verification requires --allow-long-running compute runs")
             system = build_system(fam, rank, m)
-            table = _cached_ntable(fam, rank, m, cache, workers)
+            table = _cached_ntable(system, cache, workers)
             legs["enumeration"] = engine.metamatrix_from_ntable(table)
             if system.order <= ORACLE_LIMIT and rank <= 6:
                 legs["oracle"] = engine.metamatrix_bruteforce(system)
@@ -410,9 +426,8 @@ def ntable(family, rank, m, workers, cache_dir, fmt, allow_long_running):
         except UnsupportedSystem as exc:
             raise click.UsageError(str(exc))
         progress = _progress_printer(_label(fam, rank, m)) if fam == "E" and rank == 8 else None
-        table = _cached_ntable(
-            fam, rank, m, _cache_dir(cache_dir), workers or os.cpu_count() or 1, progress
-        )
+        workers = workers or os.cpu_count() or 1
+        table = _cached_ntable(system, _cache_dir(cache_dir), workers, progress)
         order = system.order
     if fmt == "json":
         click.echo(json.dumps(_ntable_payload(fam, rank, m, order, table), indent=2))

@@ -1,4 +1,4 @@
-"""Finite Coxeter systems with exact root-coordinate matrices.
+"""Finite Coxeter systems, their root systems, and the parabolic coset tower.
 
 Group elements act on the simple-root basis; the matrix of w has column j
 equal to the coordinates of w(alpha_j).  Crystallographic families live over
@@ -6,6 +6,10 @@ the integers, H3/H4 (and I2(5)) over Z[phi].  Both cases are stored uniformly
 as integer arrays of shape (2, n, n): layer 0 the rational part, layer 1 the
 phi part.  Positivity of a root is the exact all-coordinates-nonnegative test
 on its column.
+
+The enumeration works on root permutations instead (see `root_system`): the
+matrices are used only to build the root system once, by the oracle, and by
+the definitional element API the tests compare against.
 """
 
 from __future__ import annotations
@@ -306,139 +310,194 @@ def enumerate_bfs(
     return count
 
 
-def _parabolic_elements(
-    system: CoxeterSystem, gens: list[int], cap: int | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """All elements of the parabolic subgroup generated by `gens` (1-based)."""
-    e = _identity_mat(system.rank)
-    mats = [e]
-    invs = [e.copy()]
-    seen = {e.tobytes()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for i in gens:
-                g = system.generators[i - 1]
-                mat = ring_matmul(mats[idx], g)
-                k = mat.tobytes()
-                if k not in seen:
-                    if cap is not None and len(mats) >= cap:
-                        raise EnumerationLimit("parabolic subgroup exceeds cap")
-                    seen.add(k)
-                    nxt.append(len(mats))
-                    mats.append(mat)
-                    invs.append(ring_matmul(g, invs[idx]))
-        frontier = nxt
-    return mats, invs
+# --------------------------------------------------------------------------
+# Root permutations
+#
+# Every element w permutes the finite root system Phi, and w is determined by
+# that permutation (indeed by the images of the simple roots).  The tower and
+# the N-table kernel work on these integer permutations only: a product is a
+# gather, and an ascent test is a lookup in the sign table of Phi.  The exact
+# Z[phi] arithmetic is confined to building Phi once (Casselman, "Machine
+# calculations in Weyl groups", Invent. Math. 116, 1994; Bjorner-Brenti,
+# GTM 231, ch. 4).
 
 
-def _reduce_to_coset_rep(
-    system: CoxeterSystem,
-    mat: np.ndarray,
-    inv: np.ndarray,
-    small_gens: list[int],
+@dataclass(frozen=True)
+class RootSystem:
+    """Phi with its signs and the generator permutations.
+
+    Root k has coordinates coords[:, :, k] in the simple-root basis (layer 0
+    the rational part, layer 1 the phi part); the simple root alpha_j has
+    index j - 1.  generators[i - 1][k] is the index of s_i(root k).
+    """
+
+    coords: np.ndarray  # (2, n, R) int64
+    positive: np.ndarray  # (R,) bool
+    generators: np.ndarray  # (n, R) intp
+
+    @property
+    def rank(self) -> int:
+        return self.coords.shape[1]
+
+    @property
+    def size(self) -> int:
+        return self.positive.shape[0]
+
+
+def _column_keys(vectors: np.ndarray) -> list[bytes]:
+    """Hashable key per column of a (2, n, k) coordinate stack."""
+    rows = np.ascontiguousarray(vectors.transpose(2, 0, 1))
+    return [row.tobytes() for row in rows]
+
+
+def root_system(system: CoxeterSystem) -> RootSystem:
+    """Phi as the orbit of the simple roots under the generators, exactly."""
+    n = system.rank
+    simple = _identity_mat(n)  # columns: the simple roots
+    index = {key: k for k, key in enumerate(_column_keys(simple))}
+    found = [simple]
+    frontier = simple
+    while frontier.shape[2]:
+        fresh = []
+        for g in system.generators:
+            images = ring_matmul(g, frontier)
+            for col, key in enumerate(_column_keys(images)):
+                if key not in index:
+                    index[key] = len(index)
+                    fresh.append(images[:, :, col])
+        frontier = np.stack(fresh, axis=2) if fresh else simple[:, :, :0]
+        found.append(frontier)
+    coords = np.concatenate(found, axis=2)
+    positive = nonneg_grid(coords[0], coords[1]).all(axis=0)
+    generators = np.array(
+        [[index[key] for key in _column_keys(ring_matmul(g, coords))]
+         for g in system.generators],
+        dtype=np.intp,
+    ).reshape(n, -1)
+    for arr in (coords, positive, generators):
+        arr.setflags(write=False)
+    return RootSystem(coords, positive, generators)
+
+
+def _perm_key(perm: np.ndarray, rank: int) -> bytes:
+    # w is determined by the images of the simple roots (a basis)
+    return perm[:rank].tobytes()
+
+
+def _products(
+    left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Right-multiply by descents in the small parabolic until minimal."""
-    while True:
-        cols = positive_columns(mat)
-        j = next((j for j in small_gens if not cols[j - 1]), None)
-        if j is None:
-            return mat, inv
-        g = system.generators[j - 1]
-        mat = ring_matmul(mat, g)
-        inv = ring_matmul(g, inv)
+    """Every product u * v of u in `left` and v in `right` (u-major), with
+    inverses; each side is a pair (elements, inverses) of (., R) arrays."""
+    (us, us_inv), (vs, vs_inv) = left, right
+    size = us.shape[1]
+    prods = us[:, vs].reshape(-1, size)  # (u * v)(r) = u[v[r]]
+    invs = vs_inv[:, us_inv].transpose(1, 0, 2).reshape(-1, size)
+    return prods, invs
 
 
 def coset_transversal(
-    system: CoxeterSystem, big_gens: list[int], small_gens: list[int]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Minimal-length left-coset representatives of W_small in W_big.
+    roots: RootSystem, big_gens: list[int], small_gens: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal-length left-coset representatives of W_small in W_big, as root
+    permutations with their inverses.
 
-    Found by orbit BFS on cosets: left-multiply by generators of the big
-    parabolic and canonicalize to the minimal representative.
+    Orbit search on cosets by left multiplication.  By Deodhar's lemma, for a
+    minimal representative u and a generator s, either s*u is minimal or
+    s*u lies in the coset of u; so only minimal products (no right descent in
+    `small_gens`) are kept and no reduction is needed.
     """
-    e = _identity_mat(system.rank)
-    mats = [e]
-    invs = [e.copy()]
-    seen = {e.tobytes()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for i in big_gens:
-                g = system.generators[i - 1]
-                mat = ring_matmul(g, mats[idx])
-                inv = ring_matmul(invs[idx], g)
-                mat, inv = _reduce_to_coset_rep(system, mat, inv, small_gens)
-                k = mat.tobytes()
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(len(mats))
-                    mats.append(mat)
-                    invs.append(inv)
-        frontier = nxt
-    return mats, invs
+    n = roots.rank
+    small = [j - 1 for j in small_gens]
+    e = np.arange(roots.size, dtype=np.intp)
+    reps = [e]
+    seen = {_perm_key(e, n)}
+    frontier = e[None]
+    while len(frontier):
+        fresh = []
+        for i in big_gens:
+            products = roots.generators[i - 1][frontier]  # s_i * u
+            minimal = roots.positive[products[:, small]].all(axis=1)
+            for perm in products[minimal]:
+                key = _perm_key(perm, n)
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(perm)
+                    reps.append(perm)
+        frontier = np.array(fresh, dtype=np.intp).reshape(-1, roots.size)
+    stack = np.stack(reps)
+    return stack, np.argsort(stack, axis=1)
 
 
 @dataclass
 class TowerPlan:
-    """Parabolic coset tower: W = T_top * ... * T_low * W_tail."""
+    """Parabolic coset tower: W = T_top * ... * T_low * W_tail.
+
+    Elements are root permutations: `tail_mats` (B, R) holds the tail
+    subgroup and `tail_invs` its inverses; `transversals` lists, top level
+    first, (representatives, inverse representatives) arrays of shape (M, R).
+    """
 
     system: CoxeterSystem
-    tail_mats: list[np.ndarray]
-    tail_invs: list[np.ndarray]
-    transversals: list[tuple[list[np.ndarray], list[np.ndarray]]]  # top first
+    roots: RootSystem
+    tail_mats: np.ndarray
+    tail_invs: np.ndarray
+    transversals: list[tuple[np.ndarray, np.ndarray]]
+
+    def top_size(self) -> int:
+        """Number of top-level cosets (1 when the tail is the whole group)."""
+        return len(self.transversals[0][0]) if self.transversals else 1
 
 
 def tower_plan(system: CoxeterSystem, tail_cap: int = TAIL_CAP) -> TowerPlan:
-    order = _CHAIN_ORDERS[system.family](system.rank)
-    # find the largest prefix whose parabolic subgroup fits in the tail cap
-    tail_gens: list[int] = []
-    tail: tuple[list[np.ndarray], list[np.ndarray]] = _parabolic_elements(system, [])
-    for k in range(1, system.rank + 1):
-        try:
-            cand = _parabolic_elements(system, order[:k], cap=tail_cap)
-        except EnumerationLimit:
-            break
-        tail_gens = order[:k]
-        tail = cand
-    transversals = []
-    for k in range(system.rank, len(tail_gens), -1):
-        transversals.append(coset_transversal(system, order[:k], order[: k - 1]))
+    roots = root_system(system)
+    n = system.rank
+    order = _CHAIN_ORDERS[system.family](n)
+    # W_k, generated by order[:k], is levels[k-1] * W_{k-1}
+    levels = [coset_transversal(roots, order[:k], order[: k - 1]) for k in range(1, n + 1)]
+    # the tail is the largest W_k with at most tail_cap elements
+    e = np.arange(roots.size, dtype=np.intp)[None]
+    tail = (e, e.copy())
+    k = 0
+    while k < n and len(tail[0]) * len(levels[k][0]) <= tail_cap:
+        tail = _products(levels[k], tail)
+        k += 1
+    transversals = levels[k:][::-1]
     total = len(tail[0])
-    for t_mats, _ in transversals:
-        total *= len(t_mats)
+    for reps, _ in transversals:
+        total *= len(reps)
     if total != system.order:
         raise AssertionError("tower decomposition does not cover the group")
-    return TowerPlan(system, tail[0], tail[1], transversals)
+    return TowerPlan(system, roots, tail[0], tail[1], transversals)
+
+
+def leaf_prefixes(plan: TowerPlan, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every product t_top * t_1 * ... * t_low of transversal elements that
+    starts with top-level representative `top`, with inverses, as (K, R)."""
+    if not plan.transversals:
+        e = np.arange(plan.roots.size, dtype=np.intp)[None]
+        return e, e.copy()
+    reps, invs = plan.transversals[0]
+    prefixes = (reps[top : top + 1], invs[top : top + 1])
+    for level in plan.transversals[1:]:
+        prefixes = _products(prefixes, level)
+    return prefixes
 
 
 def _tower_iter(
     plan: TowerPlan,
     top_indices: list[int] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (mat, inv) for every element covered by the plan."""
-    system = plan.system
-
-    def rec(level: int, pre_mat: np.ndarray, pre_inv: np.ndarray):
-        if level == len(plan.transversals):
-            for t_mat, t_inv in zip(plan.tail_mats, plan.tail_invs):
-                yield ring_matmul(pre_mat, t_mat), ring_matmul(t_inv, pre_inv)
-            return
-        t_mats, t_invs = plan.transversals[level]
-        idxs = range(len(t_mats))
-        if level == 0 and top_indices is not None:
-            idxs = top_indices
-        for i in idxs:
-            yield from rec(
-                level + 1,
-                ring_matmul(pre_mat, t_mats[i]),
-                ring_matmul(t_invs[i], pre_inv),
-            )
-
-    e = _identity_mat(system.rank)
-    yield from rec(0, e, e.copy())
+    """Yield (mat, inv) root-coordinate matrices of every element covered by
+    the plan: column j of the matrix of w is the root w(alpha_j)."""
+    n = plan.system.rank
+    coords = plan.roots.coords
+    tops = range(plan.top_size()) if top_indices is None else top_indices
+    for top in tops:
+        pre, pre_inv = leaf_prefixes(plan, top)
+        for p, p_inv in zip(pre, pre_inv):
+            for t, t_inv in zip(plan.tail_mats, plan.tail_invs):
+                yield coords[:, :, p[t[:n]]], coords[:, :, t_inv[p_inv[:n]]]
 
 
 def enumerate_tower(

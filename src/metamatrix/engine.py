@@ -2,14 +2,16 @@
 dihedral table, and the brute-force double-coset oracle.
 
 The N-table counts elements by (#left ascents, #right ascents); the
-metamatrix is its binomial transform.  Large crystallographic groups are
-streamed through the parabolic coset tower and the compiled kernel; small or
-golden-ring groups go through plain BFS.
+metamatrix is its binomial transform.  Every enumerable group, golden or
+crystallographic, is streamed through the parabolic coset tower as root
+permutations (see `coxeter.root_system`); the oracle keeps its own matrix
+enumeration, so it stays an independent cross-check.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
@@ -22,15 +24,21 @@ from .coxeter import (
     CoxeterSystem,
     EnumerationLimit,
     TowerPlan,
-    _parabolic_elements,
-    build_system,
+    _identity_mat,
+    leaf_prefixes,
     ring_matmul,
     tower_plan,
 )
 from .exactlinear import gen_binom
 from .goldring import nonneg_grid
 
-TOWER_THRESHOLD = 20000
+# Recorded in every cached N-table; bump it when a change to the enumeration
+# could change a table, so entries written by older code are recomputed.
+ENGINE_VERSION = 2
+
+# Upper bound on the products one leaf gather covers (its uint8 work arrays
+# and the bincount index array scale with it).
+GATHER_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -90,81 +98,66 @@ def metamatrix_from_ntable(table: NTable, provenance: str = "enumeration") -> Me
     return Metamatrix(n=n, entries=tuple(entries), provenance=provenance)
 
 
-def _profile_counts_from_arrays(
-    mats: Iterable[np.ndarray], invs: Iterable[np.ndarray], n: int
-) -> np.ndarray:
-    arr = np.stack(list(mats))
-    inv = np.stack(list(invs))
-    right = nonneg_grid(arr[:, 0], arr[:, 1]).all(axis=1).sum(axis=1)
-    left = nonneg_grid(inv[:, 0], inv[:, 1]).all(axis=1).sum(axis=1)
-    flat = np.bincount(left * (n + 1) + right, minlength=(n + 1) * (n + 1))
-    return flat.reshape(n + 1, n + 1).astype(np.int64)
+def ntable_invariant_failure(table: NTable, order: int) -> str | None:
+    """Why `table` cannot be the N-table of a group of rank table.n and order
+    `order`, or None.  Checks the shape, nonnegative entries, the total |W|
+    and the symmetries c[i][j] = c[j][i] = c[n-i][n-j].  M_00 is the sum of
+    all entries (every C(i, 0) is 1), so the total check is M_00 = |W|."""
+    n, c = table.n, table.counts
+    if len(c) != n + 1 or any(len(row) != n + 1 for row in c):
+        return f"N-table is not {n + 1}x{n + 1}"
+    if any(x < 0 for row in c for x in row):
+        return "N-table has a negative entry"
+    if table.total() != order:
+        return f"N-table total (M_00) is {table.total()}, expected |W| = {order}"
+    if not table.is_symmetric():
+        return "N-table lacks the symmetries c[i][j] = c[j][i] = c[n-i][n-j]"
+    return None
 
 
-def _ntable_bfs(system: CoxeterSystem) -> np.ndarray:
-    mats, invs = _parabolic_elements(system, list(range(1, system.rank + 1)))
-    if len(mats) != system.order:
-        raise AssertionError("BFS element count does not match the group order")
-    return _profile_counts_from_arrays(mats, invs, system.rank)
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
-def _plain_layers(plan: TowerPlan) -> tuple[np.ndarray, np.ndarray, list]:
-    """Integer-layer views for the kernel (crystallographic systems only)."""
-    tails = np.ascontiguousarray(np.stack(plan.tail_mats)[:, 0])
-    tails_inv = np.ascontiguousarray(np.stack(plan.tail_invs)[:, 0])
-    trans = [
-        (
-            [np.ascontiguousarray(m[0]) for m in mats],
-            [np.ascontiguousarray(v[0]) for v in invs],
-        )
-        for mats, invs in plan.transversals
-    ]
-    return tails, tails_inv, trans
+def pool_size(requested: int, cosets: int, cpus: int) -> int:
+    """Worker processes worth starting: at most one per usable CPU and one
+    per top-level coset, and at least one."""
+    return max(1, min(requested, cpus, cosets))
 
 
-def _ntable_tower_partial(
-    system: CoxeterSystem,
-    top_indices: list[int] | None = None,
+def _tower_counts(
+    plan: TowerPlan,
+    top_indices: Iterable[int] | None = None,
     progress: Callable[[int, int], None] | None = None,
-    tail_cap: int | None = None,
 ) -> np.ndarray:
-    if system.golden:
-        raise EnumerationLimit("tower kernel requires a crystallographic system")
-    plan = tower_plan(system) if tail_cap is None else tower_plan(system, tail_cap)
-    n = system.rank
+    """(n+1, n+1) ascent counts of the elements under the given top-level
+    cosets (all of them by default), one top-level coset at a time."""
+    n = plan.system.rank
+    positive = plan.roots.positive
+    tails = np.ascontiguousarray(plan.tail_mats[:, :n])
+    tails_inv_pos = np.ascontiguousarray(positive[plan.tail_invs].T)
+    rows = max(1, GATHER_ELEMENTS // len(tails))
+    tops = range(plan.top_size()) if top_indices is None else list(top_indices)
     out = np.zeros((n + 1, n + 1), dtype=np.int64)
-    tails, tails_inv, trans = _plain_layers(plan)
-    if not trans:
-        return _profile_counts_from_arrays(plan.tail_mats, plan.tail_invs, n)
-
-    kernel = _kernels.count_profiles_batch
-
-    def rec(level: int, pre: np.ndarray, pre_inv: np.ndarray):
-        if level == len(trans):
-            kernel(pre, pre_inv, tails, tails_inv, out)
-            return
-        t_mats, t_invs = trans[level]
-        idxs = list(range(len(t_mats)))
-        if level == 0 and top_indices is not None:
-            idxs = top_indices
-        for k, i in enumerate(idxs):
-            rec(
-                level + 1,
-                np.ascontiguousarray(pre @ t_mats[i]),
-                np.ascontiguousarray(t_invs[i] @ pre_inv),
+    for done, top in enumerate(tops, start=1):
+        pre, pre_inv = leaf_prefixes(plan, top)
+        pre_pos = positive[pre]
+        pre_inv = np.ascontiguousarray(pre_inv[:, :n])
+        for s in range(0, len(pre), rows):
+            _kernels.count_profiles_batch(
+                pre_pos[s : s + rows], pre_inv[s : s + rows], tails, tails_inv_pos, out
             )
-            if level == 0 and progress is not None:
-                progress(k + 1, len(idxs))
-
-    eye = np.ascontiguousarray(np.eye(n, dtype=np.int64))
-    rec(0, eye, eye.copy())
+        if progress is not None:
+            progress(done, len(tops))
     return out
 
 
-def _ntable_worker(args) -> bytes:
-    family, rank, m, chunk = args
-    system = build_system(family, rank, m)
-    return _ntable_tower_partial(system, top_indices=chunk).tobytes()
+def _tower_worker(args) -> bytes:
+    plan, chunk = args
+    return _tower_counts(plan, chunk).tobytes()
 
 
 def accumulate_ntable(
@@ -172,28 +165,28 @@ def accumulate_ntable(
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> NTable:
-    """Exact N-table; deterministic for any worker count."""
-    if system.golden or system.order <= TOWER_THRESHOLD:
-        counts = _ntable_bfs(system)
-    elif workers <= 1:
-        counts = _ntable_tower_partial(system, progress=progress)
+    """Exact N-table; deterministic for any worker count.  `progress` is
+    called after each top-level coset of a single-process run."""
+    plan = tower_plan(system)
+    top = plan.top_size()
+    procs = pool_size(workers, top, usable_cpus())
+    if procs == 1:
+        counts = _tower_counts(plan, progress=progress)
     else:
-        plan = tower_plan(system)
-        top = len(plan.transversals[0][0]) if plan.transversals else 1
-        chunks = [list(range(w, top, workers)) for w in range(workers)]
-        chunks = [c for c in chunks if c]
-        jobs = [(system.family, system.rank, system.m, c) for c in chunks]
         n = system.rank
+        jobs = [(plan, range(w, top, procs)) for w in range(procs)]
         counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for raw in pool.map(_ntable_worker, jobs):
+        with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
+            for raw in pool.map(_tower_worker, jobs):
                 counts += np.frombuffer(raw, dtype=np.int64).reshape(n + 1, n + 1)
-    if int(counts.sum()) != system.order:
-        raise AssertionError("N-table total does not match the group order")
-    return NTable(
+    table = NTable(
         n=system.rank,
         counts=tuple(tuple(int(x) for x in row) for row in counts),
     )
+    failure = ntable_invariant_failure(table, system.order)
+    if failure is not None:
+        raise AssertionError(f"{system.label()}: {failure}")
+    return table
 
 
 class _UnionFind:
@@ -220,6 +213,29 @@ class _UnionFind:
         return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
 
 
+def _matrix_elements(system: CoxeterSystem) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every element as a root-coordinate matrix with its inverse, by
+    breadth-first search on right multiplication by generators."""
+    e = _identity_mat(system.rank)
+    mats = [e]
+    invs = [e.copy()]
+    seen = {e.tobytes()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for idx in frontier:
+            for g in system.generators:
+                mat = ring_matmul(mats[idx], g)
+                k = mat.tobytes()
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(len(mats))
+                    mats.append(mat)
+                    invs.append(ring_matmul(g, invs[idx]))
+        frontier = nxt
+    return mats, invs
+
+
 class GroupTable:
     """Fully expanded small group: index maps, generator permutations, and
     ascent bitmasks.  Backs the oracle operations."""
@@ -230,7 +246,7 @@ class GroupTable:
                 f"group order {system.order} exceeds oracle threshold {threshold}"
             )
         self.system = system
-        mats, invs = _parabolic_elements(system, list(range(1, system.rank + 1)))
+        mats, invs = _matrix_elements(system)
         self.size = len(mats)
         index = {m.tobytes(): i for i, m in enumerate(mats)}
         n = system.rank

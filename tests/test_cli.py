@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 import golden
-from metamatrix import cli
+from metamatrix import cli, engine
 from metamatrix.cli import main
 from metamatrix.engine import NTable
 from metamatrix.typeb import metamatrix_typeb
@@ -104,14 +104,39 @@ class TestCache:
             "--method", "enumerate", "--format", "json", "--cache-dir", str(cache),
         ]
 
+    # not the B3 table, but it has the N-table invariants of a group of order 48
+    FAKE = NTable(n=3, counts=((24, 0, 0, 0),) + ((0,) * 4,) * 2 + ((0, 0, 0, 24),))
+
+    def write_entry(self, cache, table, **changes):
+        payload = cli._ntable_payload("B", 3, None, 48, table)
+        payload.update(changes)
+        payload["checksum"] = cli._checksum(payload)
+        (cache / "B3.ntable.json").write_text(json.dumps(payload))
+
     def test_cache_hit_is_used(self, runner, tmp_path):
-        fake = NTable(n=3, counts=((0,) * 4,) * 3 + ((0, 0, 0, 7),))
-        payload = cli._ntable_payload("B", 3, None, 48, fake)
-        (tmp_path / "B3.ntable.json").write_text(json.dumps(payload))
+        self.write_entry(tmp_path, self.FAKE)
         res = runner.invoke(main, self.args(tmp_path))
         assert res.exit_code == 0
-        # every metamatrix entry now comes from the single fake cell
-        assert matrix_of(res.output)[0][0] == 7
+        # the last row of the metamatrix comes from the single fake cell N_33
+        assert matrix_of(res.output)[3] == [24, 72, 72, 24]
+
+    def test_cached_table_failing_invariants_recomputed(self, runner, tmp_path):
+        fake = NTable(n=3, counts=((0,) * 4,) * 3 + ((0, 0, 0, 7),))
+        self.write_entry(tmp_path, fake)
+        res = runner.invoke(main, self.args(tmp_path))
+        assert res.exit_code == 0
+        assert matrix_of(res.output) == [list(r) for r in metamatrix_typeb(3).entries]
+
+    @pytest.mark.parametrize(
+        "version", [None, engine.ENGINE_VERSION - 1, str(engine.ENGINE_VERSION)]
+    )
+    def test_other_engine_version_recomputed(self, runner, tmp_path, version):
+        self.write_entry(tmp_path, self.FAKE, engine_version=version)
+        res = runner.invoke(main, self.args(tmp_path))
+        assert res.exit_code == 0
+        assert matrix_of(res.output) == [list(r) for r in metamatrix_typeb(3).entries]
+        rewritten = json.loads((tmp_path / "B3.ntable.json").read_text())
+        assert rewritten["engine_version"] == engine.ENGINE_VERSION
 
     def test_corrupt_cache_recomputed(self, runner, tmp_path):
         path = tmp_path / "B3.ntable.json"
@@ -276,6 +301,24 @@ class TestInputErrors:
         assert "Traceback" not in res.output
         [line] = [ln for ln in res.output.splitlines() if "cannot read matrix:" in ln]
         assert line.startswith("Error: cannot read matrix: ")
+
+    def test_json_object_without_matrix_key(self, runner):
+        res = runner.invoke(main, ["check-tp", "-"], input='{"m": 1}')
+        assert res.exit_code == 2
+        assert 'cannot read matrix: the JSON object has no "matrix" key' in res.output
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "ntable"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, runner, tmp_path, command, workers):
+        res = runner.invoke(
+            main,
+            [command, "--family", "B", "--rank", "3", "--workers", workers,
+             "--cache-dir", str(tmp_path)],
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "--workers" in res.output
+        assert not (tmp_path / "B3.ntable.json").exists()
 
     @pytest.mark.parametrize("command", ["compute", "verify", "ntable"])
     @pytest.mark.parametrize("rank", ["0", "-2"])

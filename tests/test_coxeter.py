@@ -16,6 +16,7 @@ from metamatrix.coxeter import (
     longest_element,
     positive_columns,
     ring_matmul,
+    root_system,
     tower_plan,
 )
 from metamatrix.goldring import nonneg_grid
@@ -89,6 +90,45 @@ class TestBuildSystem:
                 for _ in range(order):
                     acc = ring_matmul(acc, prod)
                 assert np.array_equal(acc, eye), (family, rank, i + 1, j + 1)
+
+
+class TestRootSystem:
+    @pytest.mark.parametrize(
+        "family,rank,m,size",
+        [("E", 7, None, 126), ("E", 8, None, 240), ("H", 4, None, 120), ("F", 4, None, 48),
+         ("E", 6, None, 72), ("H", 3, None, 30), ("B", 8, None, 128), ("D", 8, None, 112),
+         ("A", 3, None, 12), ("I2", 2, 5, 10), ("I2", 2, 6, 12)],
+    )
+    def test_size(self, family, rank, m, size):
+        roots = root_system(build_system(family, rank, m))
+        assert roots.size == size
+        assert roots.positive.sum() == size // 2
+
+    @pytest.mark.parametrize("family,rank,m", ALL_SYSTEMS)
+    def test_generators_are_involutions(self, family, rank, m):
+        roots = root_system(build_system(family, rank, m))
+        ident = np.arange(roots.size)
+        for g in roots.generators:
+            assert sorted(g) == list(ident)
+            assert np.array_equal(g[g], ident)
+
+    @pytest.mark.parametrize("family,rank,m", ALL_SYSTEMS)
+    def test_simple_reflections(self, family, rank, m):
+        roots = root_system(build_system(family, rank, m))
+        coords, positive = roots.coords, roots.positive
+        for i, g in enumerate(roots.generators):
+            # s_i sends alpha_i (index i) to -alpha_i ...
+            assert np.array_equal(coords[:, :, g[i]], -coords[:, :, i])
+            # ... and permutes the other positive roots
+            others = [k for k in np.flatnonzero(positive) if k != i]
+            assert sorted(g[others]) == others
+
+    @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("F", 4, None)])
+    def test_generator_permutations_match_matrices(self, family, rank, m):
+        s = build_system(family, rank, m)
+        roots = root_system(s)
+        for gen, perm in zip(s.generators, roots.generators):
+            assert np.array_equal(ring_matmul(gen, roots.coords), roots.coords[:, :, perm])
 
 
 class TestApplyGenerator:
@@ -233,6 +273,15 @@ class TestEnumerateTower:
         plan = tower_plan(s, tail_cap=10)
         keys = {mat.tobytes() for mat, _ in _tower_iter(plan)}
         assert len(keys) == s.order
+
+    @pytest.mark.parametrize(
+        "family,rank,m,cap", [("B", 3, None, 1), ("H", 3, None, 8), ("I2", 2, 5, 1)]
+    )
+    def test_tower_matrices_equal_bfs_matrices(self, family, rank, m, cap):
+        s = build_system(family, rank, m)
+        tower = [mat.tobytes() for mat, _ in _tower_iter(tower_plan(s, tail_cap=cap))]
+        assert len(tower) == len(set(tower)) == s.order
+        assert set(tower) == {w.key() for w in collect(s)}
 
     def test_tower_inverses_consistent(self):
         s = build_system("D", 4)

@@ -1,22 +1,24 @@
 from itertools import chain, combinations
 
-import numpy as np
 import pytest
 
 import golden
-from metamatrix.coxeter import EnumerationLimit, build_system
+from definitional import definitional_counts
+from metamatrix.coxeter import EnumerationLimit, build_system, tower_plan
 from metamatrix.engine import (
     GroupTable,
     Metamatrix,
     NTable,
-    _ntable_bfs,
-    _ntable_tower_partial,
+    _tower_counts,
     accumulate_ntable,
     dihedral_ntable,
     double_coset_count,
     metamatrix_bruteforce,
     metamatrix_from_ntable,
     minimal_reps_count,
+    ntable_invariant_failure,
+    pool_size,
+    usable_cpus,
 )
 from metamatrix.typeb import metamatrix_typeb
 
@@ -90,23 +92,28 @@ class TestTower:
     @pytest.mark.parametrize("family,rank", [("B", 4, ), ("D", 4,), ("A", 4,)])
     def test_multilevel_matches_bfs(self, family, rank):
         system = build_system(family, rank)
-        tower = _ntable_tower_partial(system, tail_cap=8)
-        assert np.array_equal(tower, _ntable_bfs(system))
+        tower = _tower_counts(tower_plan(system, tail_cap=8))
+        assert tower.tolist() == definitional_counts(system)
 
     def test_f4_matches_bfs(self):
         system = build_system("F", 4)
-        tower = _ntable_tower_partial(system, tail_cap=100)
-        assert np.array_equal(tower, _ntable_bfs(system))
+        tower = _tower_counts(tower_plan(system, tail_cap=100))
+        assert tower.tolist() == definitional_counts(system)
 
-    def test_golden_system_rejected(self):
-        with pytest.raises(EnumerationLimit):
-            _ntable_tower_partial(build_system("H", 3))
+    @pytest.mark.parametrize("family,rank,m", [("H", 3, None), ("I2", 2, 5)])
+    def test_golden_tower_matches_definition(self, family, rank, m):
+        system = build_system(family, rank, m)
+        assert system.golden
+        for cap in (1, 8, 4000):
+            tower = _tower_counts(tower_plan(system, tail_cap=cap))
+            assert tower.tolist() == definitional_counts(system), cap
 
     def test_progress_reported(self):
         calls = []
         system = build_system("B", 4)
-        _ntable_tower_partial(
-            system, tail_cap=8, progress=lambda done, total: calls.append((done, total))
+        _tower_counts(
+            tower_plan(system, tail_cap=8),
+            progress=lambda done, total: calls.append((done, total)),
         )
         assert calls and calls[-1][0] == calls[-1][1]
 
@@ -115,6 +122,45 @@ class TestTower:
         serial = accumulate_ntable(system, workers=1)
         assert accumulate_ntable(system, workers=2) == serial
         assert accumulate_ntable(system, workers=5) == serial
+
+
+class TestPoolSize:
+    def test_huge_request_capped_by_cpus_and_cosets(self):
+        assert pool_size(10**12, cosets=56, cpus=2) == 2
+        assert pool_size(10**12, cosets=3, cpus=64) == 3
+        assert pool_size(10**12, cosets=1, cpus=64) == 1
+        assert 1 <= pool_size(10**12, cosets=240, cpus=usable_cpus()) <= usable_cpus()
+
+    def test_request_below_caps_kept(self):
+        assert pool_size(1, cosets=56, cpus=64) == 1
+        assert pool_size(5, cosets=56, cpus=64) == 5
+
+
+class TestInvariants:
+    B2 = ((1, 0, 0), (0, 6, 0), (0, 0, 1))
+
+    def test_valid_table(self):
+        assert ntable_invariant_failure(NTable(2, self.B2), 8) is None
+
+    @pytest.mark.parametrize(
+        "counts,order,reason",
+        [
+            (((1, 0, 0), (0, 6, 0), (0, 0, 1)), 10, "total"),
+            (((1, 1, 0), (0, 5, 0), (0, 0, 1)), 8, "symmetries"),
+            (((1, 0, 0), (0, 6, 0)), 7, "not 3x3"),
+            (((2, 0, 0), (0, 6, -1), (0, -1, 2)), 8, "negative"),
+        ],
+    )
+    def test_bad_tables(self, counts, order, reason):
+        assert reason in ntable_invariant_failure(NTable(2, counts), order)
+
+    @pytest.mark.parametrize(
+        "family,rank,m", [("A", 3, None), ("B", 4, None), ("H", 3, None), ("I2", 2, 5)]
+    )
+    def test_m00_is_group_order(self, family, rank, m):
+        system = build_system(family, rank, m)
+        table = accumulate_ntable(system)
+        assert metamatrix_from_ntable(table).entries[0][0] == system.order
 
 
 class TestOracle:

@@ -1,62 +1,79 @@
+"""The root-permutation path against the definitional matrix path."""
+
 import numpy as np
 import pytest
 
-from metamatrix import _kernels
-from metamatrix._kernels import count_profiles_batch, count_profiles_python
-from metamatrix.coxeter import build_system, tower_plan
-from metamatrix.engine import _plain_layers
+from definitional import definitional_counts
+from metamatrix._kernels import count_profiles_batch
+from metamatrix.coxeter import build_system, leaf_prefixes, tower_plan
+from metamatrix.engine import _tower_counts
+
+# tail_cap 1 puts one generator in every tower level; larger caps leave
+# bigger tails and fewer levels
+TAIL_CAPS = (1, 8, 100)
 
 
-def tower_arrays(family, rank, tail_cap):
-    system = build_system(family, rank)
-    plan = tower_plan(system, tail_cap=tail_cap)
-    tails, tails_inv, trans = _plain_layers(plan)
-    return system, tails, tails_inv, trans
+def tower_counts(system, tail_cap):
+    return _tower_counts(tower_plan(system, tail_cap=tail_cap)).tolist()
 
 
-def test_implementation_flag():
-    assert _kernels.IMPLEMENTATION in ("cython", "python")
+def leaf_arrays(plan):
+    """Kernel arguments for the identity prefix and the plan's tail."""
+    n = plan.system.rank
+    positive = plan.roots.positive
+    e = np.arange(plan.roots.size)[None]
+    tails = np.ascontiguousarray(plan.tail_mats[:, :n])
+    tails_inv_pos = np.ascontiguousarray(positive[plan.tail_invs].T)
+    return positive[e], e[:, :n], tails, tails_inv_pos
 
 
-@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4), ("A", 4), ("F", 4)])
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+     ("D", 4), ("F", 4), ("H", 3)],
+)
 def test_implementations_agree(family, rank):
-    system, tails, tails_inv, trans = tower_arrays(family, rank, tail_cap=30)
-    n = system.rank
-    eye = np.ascontiguousarray(np.eye(n, dtype=np.int64))
-    out_active = np.zeros((n + 1, n + 1), dtype=np.int64)
-    out_python = np.zeros((n + 1, n + 1), dtype=np.int64)
-    count_profiles_batch(eye, eye, tails, tails_inv, out_active)
-    count_profiles_python(eye, eye, tails, tails_inv, out_python)
-    assert np.array_equal(out_active, out_python)
-    for mats, invs in trans:
-        for mat, inv in zip(mats, invs):
-            a = np.zeros((n + 1, n + 1), dtype=np.int64)
-            b = np.zeros((n + 1, n + 1), dtype=np.int64)
-            count_profiles_batch(mat, inv, tails, tails_inv, a)
-            count_profiles_python(mat, inv, tails, tails_inv, b)
-            assert np.array_equal(a, b)
+    system = build_system(family, rank)
+    expected = definitional_counts(system)
+    for cap in TAIL_CAPS:
+        assert tower_counts(system, cap) == expected, cap
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_dihedral_implementations_agree(m):
+    system = build_system("I2", 2, m)
+    expected = definitional_counts(system)
+    for cap in TAIL_CAPS:
+        assert tower_counts(system, cap) == expected, cap
+
+
+def test_multilevel_tower_shape():
+    plan = tower_plan(build_system("B", 4), tail_cap=1)
+    assert len(plan.tail_mats) == 1
+    assert [len(reps) for reps, _ in plan.transversals] == [8, 6, 4, 2]
+    pre, pre_inv = leaf_prefixes(plan, 0)
+    assert len(pre) == 6 * 4 * 2
+    assert (np.take_along_axis(pre, pre_inv, axis=1) == np.arange(plan.roots.size)).all()
 
 
 def test_accumulates_into_out():
-    system, tails, tails_inv, _ = tower_arrays("B", 3, tail_cap=10)
-    n = system.rank
-    eye = np.ascontiguousarray(np.eye(n, dtype=np.int64))
+    plan = tower_plan(build_system("B", 3), tail_cap=10)
+    n = plan.system.rank
     out = np.zeros((n + 1, n + 1), dtype=np.int64)
-    count_profiles_batch(eye, eye, tails, tails_inv, out)
+    count_profiles_batch(*leaf_arrays(plan), out)
     once = out.copy()
-    count_profiles_batch(eye, eye, tails, tails_inv, out)
+    count_profiles_batch(*leaf_arrays(plan), out)
     assert np.array_equal(out, 2 * once)
-    assert int(once.sum()) == len(tails)
+    assert int(once.sum()) == len(plan.tail_mats)
 
 
 def test_identity_prefix_counts_tail_profiles():
-    system, tails, tails_inv, _ = tower_arrays("A", 3, tail_cap=100)
-    n = system.rank
+    plan = tower_plan(build_system("A", 3), tail_cap=100)
+    n = plan.system.rank
     # tail covers the whole symmetric group on 4 letters
-    assert len(tails) == 24
-    eye = np.ascontiguousarray(np.eye(n, dtype=np.int64))
+    assert len(plan.tail_mats) == 24
     out = np.zeros((n + 1, n + 1), dtype=np.int64)
-    count_profiles_batch(eye, eye, tails, tails_inv, out)
+    count_profiles_batch(*leaf_arrays(plan), out)
     assert out[n, n] == 1  # identity element
     assert out[0, 0] == 1  # longest element
     assert int(out.sum()) == 24
