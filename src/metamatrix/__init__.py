@@ -1,19 +1,10 @@
 """Exact contingency metamatrices of finite Coxeter groups, with
-total-positivity certification."""
+total-positivity certification.
 
-from .coxeter import (
-    CoxeterSystem,
-    DescentProfile,
-    GroupElement,
-    UnsupportedSystem,
-    apply_generator,
-    build_system,
-    descent_profile,
-    enumerate_bfs,
-    enumerate_tower,
-    identity_element,
-    longest_element,
-)
+The package root exports the pipeline entry points; every other name is
+importable from its module."""
+
+from .coxeter import CoxeterSystem, UnsupportedSystem, build_system
 from .engine import (
     Metamatrix,
     NTable,
@@ -22,37 +13,9 @@ from .engine import (
     double_coset_count,
     metamatrix_bruteforce,
     metamatrix_from_ntable,
-    minimal_reps_count,
 )
-from .exactlinear import (
-    Matrix,
-    bareiss_det,
-    conjugate_by_inverse_pascal,
-    gen_binom,
-    invert_lower_triangular,
-    pascal_matrix,
-    vandermonde_half_nodes,
-    verify_alternating_identity,
-    verify_root_identity,
-)
-from .tp import (
-    TPCertificate,
-    all_minors_positive,
-    fekete_check,
-    gauss_decomposition_typeb,
-)
-from .typeb import (
-    MarginCondition,
-    SignedMatrix,
-    enumerate_scm,
-    gscm_count,
-    gscm_piece_count,
-    L_matrix,
-    margin_to_subset,
-    metamatrix_typeb,
-    scm_count,
-    subset_to_margin,
-    verify_scm_gscm_transform,
-)
+from .exactlinear import Matrix
+from .tp import TPCertificate, all_minors_positive, fekete_check, gauss_decomposition_typeb
+from .typeb import metamatrix_typeb
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line frontend: compute, check-tp, verify, ntable, scm-count.
 
 Exit codes: 0 success / totally positive, 1 verified negative result,
-2 usage or parse error, 3 resource limit.  All big integers are emitted as
+2 usage or parse error, 3 resource limit, 4 internal error (an unexpected
+exception, reported in one line).  All big integers are emitted as
 decimal strings so output is lossless at any magnitude.
 """
 
@@ -17,13 +18,11 @@ from pathlib import Path
 import click
 
 from . import engine, tp, typeb
-from .coxeter import EnumerationLimit, UnsupportedSystem, build_system
+from .coxeter import _I2_MATRIX_M, EnumerationLimit, UnsupportedSystem, build_system
 from .exactlinear import Matrix
 
 ORACLE_LIMIT = 10**4
 DEFAULT_CACHE_DIR = "~/.metamatrix-cache"
-
-_I2_ENUMERABLE = {2, 3, 4, 5, 6}
 
 
 class ResourceLimit(click.ClickException):
@@ -35,6 +34,10 @@ class NegativeResult(click.ClickException):
 
     def show(self, file=None):  # message already printed as payload
         pass
+
+
+class InternalError(click.ClickException):
+    exit_code = 4
 
 
 def _cache_dir(option_value: str | None) -> Path:
@@ -90,13 +93,19 @@ def _read_cached(path: Path, system) -> engine.NTable | None:
     return table
 
 
-def _cached_ntable(system, cache: Path, workers: int, progress=None) -> engine.NTable:
+def _cached_ntable(
+    system, cache: Path, workers: int | None, progress=None
+) -> engine.NTable:
+    """The N-table of `system`, from the cache or computed with `workers`
+    processes (None: one per usable CPU) and then cached."""
     family, rank, m = system.family, system.rank, system.m
     path = cache / f"{_label(family, rank, m)}.ntable.json"
     if path.exists():
         table = _read_cached(path, system)
         if table is not None:
             return table
+    if workers is None:
+        workers = engine.usable_cpus()
     table = engine.accumulate_ntable(system, workers=workers, progress=progress)
     try:
         _write_atomic(path, json.dumps(_ntable_payload(family, rank, m, system.order, table)))
@@ -174,7 +183,7 @@ def _compute_metamatrix(
     rank: int,
     m: int | None,
     method: str,
-    workers: int,
+    workers: int | None,
     cache: Path,
     allow_long: bool,
 ) -> engine.Metamatrix:
@@ -187,7 +196,7 @@ def _compute_metamatrix(
             )
         raise click.UsageError("--method formula is only available for families B and I2")
     if method == "enumerate":
-        if fam == "I2" and m not in _I2_ENUMERABLE:
+        if fam == "I2" and m not in _I2_MATRIX_M:
             raise click.UsageError(
                 f"I2({m}) has no exact matrix realization here; use --method formula"
             )
@@ -211,7 +220,21 @@ def _compute_metamatrix(
     return engine.metamatrix_bruteforce(system)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; an exception that no command handles exits with
+    code 4 and a one-line message instead of a traceback and code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            detail = " ".join(str(exc).split())  # one line, whatever the message
+            raise InternalError(f"internal error: {type(exc).__name__}: {detail}") from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Exact contingency metamatrices of finite Coxeter groups."""
 
@@ -224,7 +247,7 @@ _common = [
         "--workers",
         type=click.IntRange(min=1),
         default=None,
-        help="worker processes, at most one per usable CPU (default: cpu count)",
+        help="worker processes, at most one per usable CPU (default: the usable CPUs)",
     ),
     click.option("--cache-dir", default=None, help="N-table cache directory"),
 ]
@@ -257,7 +280,7 @@ def compute(family, rank, m, workers, cache_dir, method, fmt, allow_long_running
             rank,
             m,
             method,
-            workers or os.cpu_count() or 1,
+            workers,
             _cache_dir(cache_dir),
             allow_long_running,
         )
@@ -322,10 +345,15 @@ def check_tp(source, method):
         matrix = _parse_matrix_text(text)
         if not matrix.is_square:
             raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, not square")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting recurses
         raise click.UsageError(f"cannot read matrix: {exc}")
     if method == "auto":
         method = "all-minors" if matrix.rows <= 9 else "fekete"
+    if method == "all-minors" and matrix.rows > tp.ALL_MINORS_SIZE_CAP:
+        raise click.UsageError(
+            f"--method all-minors is capped at size {tp.ALL_MINORS_SIZE_CAP} "
+            f"(matrix is {matrix.rows}x{matrix.rows}); use --method fekete"
+        )
     cert = (
         tp.all_minors_positive(matrix)
         if method == "all-minors"
@@ -353,7 +381,6 @@ def check_tp(source, method):
 def verify(family, rank, m, workers, cache_dir):
     """Cross-check every applicable pipeline and report agreement."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    workers = workers or os.cpu_count() or 1
     cache = _cache_dir(cache_dir)
     legs: dict[str, engine.Metamatrix] = {}
     try:
@@ -363,7 +390,7 @@ def verify(family, rank, m, workers, cache_dir):
             legs["formula"] = engine.metamatrix_from_ntable(
                 engine.dihedral_ntable(m), provenance="formula"
             )
-        if fam != "I2" or m in _I2_ENUMERABLE:
+        if fam != "I2" or m in _I2_MATRIX_M:
             if fam == "E" and rank == 8:
                 raise ResourceLimit("E8 verification requires --allow-long-running compute runs")
             system = build_system(fam, rank, m)
@@ -413,7 +440,7 @@ def verify(family, rank, m, workers, cache_dir):
 def ntable(family, rank, m, workers, cache_dir, fmt, allow_long_running):
     """Compute (and cache) the two-sided ascent-count table."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    if fam == "I2" and m not in _I2_ENUMERABLE:
+    if fam == "I2" and m not in _I2_MATRIX_M:
         table = engine.dihedral_ntable(m)
         order = 2 * m
     else:
@@ -426,7 +453,6 @@ def ntable(family, rank, m, workers, cache_dir, fmt, allow_long_running):
         except UnsupportedSystem as exc:
             raise click.UsageError(str(exc))
         progress = _progress_printer(_label(fam, rank, m)) if fam == "E" and rank == 8 else None
-        workers = workers or os.cpu_count() or 1
         table = _cached_ntable(system, _cache_dir(cache_dir), workers, progress)
         order = system.order
     if fmt == "json":
@@ -442,17 +468,15 @@ def ntable(family, rank, m, workers, cache_dir, fmt, allow_long_running):
 @click.option("--gscm", is_flag=True, help="count generalized matrices (closed form)")
 def scm_count_cmd(n, p, q, gscm):
     """Count (generalized) signed contingency matrices at lengths (P, Q)."""
-    if gscm:
-        click.echo(str(typeb.gscm_count(n, p, q)))
-        return
-    if n > typeb.SCM_BRUTE_FORCE_CAP:
+    if not gscm and n > typeb.SCM_BRUTE_FORCE_CAP:
         raise ResourceLimit(
             f"brute-force SCM enumeration capped at n = {typeb.SCM_BRUTE_FORCE_CAP}"
         )
     try:
-        click.echo(str(typeb.scm_count(n, p, q)))
+        count = typeb.gscm_count(n, p, q) if gscm else typeb.scm_count(n, p, q)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    click.echo(str(count))
 
 
 if __name__ == "__main__":

@@ -8,21 +8,19 @@ phi part.  Positivity of a root is the exact all-coordinates-nonnegative test
 on its column.
 
 The enumeration works on root permutations instead (see `root_system`): the
-matrices are used only to build the root system once, by the oracle, and by
-the definitional element API the tests compare against.
+generator matrices are used only to build the root system once and by the
+oracle's own matrix enumeration (`engine.GroupTable`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 import numpy as np
 
 from .goldring import nonneg_grid
 
-BFS_THRESHOLD = 10**7
 TAIL_CAP = 4000
 
 _CHAIN_ORDERS = {
@@ -192,122 +190,10 @@ def ring_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def positive_columns(mat: np.ndarray) -> np.ndarray:
-    """Boolean per column: the column is a positive root."""
-    return nonneg_grid(mat[0], mat[1]).all(axis=0)
-
-
 def _identity_mat(rank: int) -> np.ndarray:
     out = np.zeros((2, rank, rank), dtype=np.int64)
     out[0] += np.eye(rank, dtype=np.int64)
     return out
-
-
-@dataclass(frozen=True)
-class DescentProfile:
-    left_ascents: frozenset[int]
-    right_ascents: frozenset[int]
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Group element as (matrix, inverse matrix) over the coefficient ring."""
-
-    system: CoxeterSystem
-    mat: np.ndarray = field(repr=False)
-    inv: np.ndarray = field(repr=False)
-
-    def key(self) -> bytes:
-        return self.mat.tobytes()
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.system, self.inv, self.mat)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupElement) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-
-def identity_element(system: CoxeterSystem) -> GroupElement:
-    e = _identity_mat(system.rank)
-    return GroupElement(system, e, e.copy())
-
-
-def apply_generator(w: GroupElement, i: int, side: str) -> GroupElement:
-    """s_i * w (side='left') or w * s_i (side='right'), exactly."""
-    system = w.system
-    if not 1 <= i <= system.rank:
-        raise ValueError(f"generator index {i} out of range 1..{system.rank}")
-    g = system.generators[i - 1]
-    if side == "left":
-        return GroupElement(system, ring_matmul(g, w.mat), ring_matmul(w.inv, g))
-    if side == "right":
-        return GroupElement(system, ring_matmul(w.mat, g), ring_matmul(g, w.inv))
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def multiply(w1: GroupElement, w2: GroupElement) -> GroupElement:
-    return GroupElement(
-        w1.system, ring_matmul(w1.mat, w2.mat), ring_matmul(w2.inv, w1.inv)
-    )
-
-
-def descent_profile(w: GroupElement) -> DescentProfile:
-    """Ascent sets: i is a right ascent iff w(alpha_i) > 0, left iff
-    w^{-1}(alpha_i) > 0."""
-    right = positive_columns(w.mat)
-    left = positive_columns(w.inv)
-    n = w.system.rank
-    return DescentProfile(
-        left_ascents=frozenset(i + 1 for i in range(n) if left[i]),
-        right_ascents=frozenset(i + 1 for i in range(n) if right[i]),
-    )
-
-
-def longest_element(system: CoxeterSystem) -> GroupElement:
-    w = identity_element(system)
-    while True:
-        cols = positive_columns(w.mat)
-        i = next((k for k in range(system.rank) if cols[k]), None)
-        if i is None:
-            return w
-        w = apply_generator(w, i + 1, "right")
-
-
-def enumerate_bfs(
-    system: CoxeterSystem,
-    visitor: Callable[[GroupElement], None],
-    threshold: int = BFS_THRESHOLD,
-) -> int:
-    """Visit every group element once via hash-deduplicated BFS."""
-    if system.order > threshold:
-        raise EnumerationLimit(
-            f"group order {system.order} exceeds BFS threshold {threshold}; "
-            "use enumerate_tower"
-        )
-    e = identity_element(system)
-    seen = {e.key()}
-    queue = [e]
-    count = 0
-    while queue:
-        nxt = []
-        for w in queue:
-            visitor(w)
-            count += 1
-            for i in range(1, system.rank + 1):
-                u = apply_generator(w, i, "right")
-                k = u.key()
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(u)
-        queue = nxt
-    if count != system.order:
-        raise AssertionError(
-            f"enumerated {count} elements, expected {system.order}"
-        )
-    return count
 
 
 # --------------------------------------------------------------------------
@@ -482,35 +368,3 @@ def leaf_prefixes(plan: TowerPlan, top: int) -> tuple[np.ndarray, np.ndarray]:
     for level in plan.transversals[1:]:
         prefixes = _products(prefixes, level)
     return prefixes
-
-
-def _tower_iter(
-    plan: TowerPlan,
-    top_indices: list[int] | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (mat, inv) root-coordinate matrices of every element covered by
-    the plan: column j of the matrix of w is the root w(alpha_j)."""
-    n = plan.system.rank
-    coords = plan.roots.coords
-    tops = range(plan.top_size()) if top_indices is None else top_indices
-    for top in tops:
-        pre, pre_inv = leaf_prefixes(plan, top)
-        for p, p_inv in zip(pre, pre_inv):
-            for t, t_inv in zip(plan.tail_mats, plan.tail_invs):
-                yield coords[:, :, p[t[:n]]], coords[:, :, t_inv[p_inv[:n]]]
-
-
-def enumerate_tower(
-    system: CoxeterSystem, visitor: Callable[[GroupElement], None]
-) -> int:
-    """Visit every element once as a product of minimal coset representatives
-    down a chain of parabolic subgroups; memory stays bounded by transversal
-    sizes."""
-    plan = tower_plan(system)
-    count = 0
-    for mat, inv in _tower_iter(plan):
-        visitor(GroupElement(system, mat, inv))
-        count += 1
-    if count != system.order:
-        raise AssertionError(f"tower visited {count} elements, expected {system.order}")
-    return count

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import _kernels
 from .coxeter import (
-    BFS_THRESHOLD,
     CoxeterSystem,
     EnumerationLimit,
     TowerPlan,
@@ -155,9 +154,18 @@ def _tower_counts(
     return out
 
 
-def _tower_worker(args) -> bytes:
-    plan, chunk = args
-    return _tower_counts(plan, chunk).tobytes()
+# The plan a pool worker counts under, set once per worker by the pool
+# initializer so it is sent to each worker once, not with every coset.
+_WORKER_PLAN: TowerPlan | None = None
+
+
+def _init_worker(plan: TowerPlan) -> None:
+    global _WORKER_PLAN
+    _WORKER_PLAN = plan
+
+
+def _coset_worker(top: int) -> bytes:
+    return _tower_counts(_WORKER_PLAN, [top]).tobytes()
 
 
 def accumulate_ntable(
@@ -166,7 +174,7 @@ def accumulate_ntable(
     progress: Callable[[int, int], None] | None = None,
 ) -> NTable:
     """Exact N-table; deterministic for any worker count.  `progress` is
-    called after each top-level coset of a single-process run."""
+    called after each finished top-level coset."""
     plan = tower_plan(system)
     top = plan.top_size()
     procs = pool_size(workers, top, usable_cpus())
@@ -174,11 +182,14 @@ def accumulate_ntable(
         counts = _tower_counts(plan, progress=progress)
     else:
         n = system.rank
-        jobs = [(plan, range(w, top, procs)) for w in range(procs)]
         counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
-            for raw in pool.map(_tower_worker, jobs):
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=procs, initializer=_init_worker, initargs=(plan,)
+        ) as pool:
+            for done, raw in enumerate(pool.map(_coset_worker, range(top)), start=1):
                 counts += np.frombuffer(raw, dtype=np.int64).reshape(n + 1, n + 1)
+                if progress is not None:
+                    progress(done, top)
     table = NTable(
         n=system.rank,
         counts=tuple(tuple(int(x) for x in row) for row in counts),
@@ -234,6 +245,10 @@ def _matrix_elements(system: CoxeterSystem) -> tuple[list[np.ndarray], list[np.n
                     invs.append(ring_matmul(g, invs[idx]))
         frontier = nxt
     return mats, invs
+
+
+# Largest group the oracle expands in memory.
+BFS_THRESHOLD = 10**7
 
 
 class GroupTable:

@@ -6,7 +6,8 @@ positive.  Two certifiers are provided: the definitional all-minors scan,
 which evaluates each minor by Bareiss elimination, and the Fekete criterion
 (positivity of all minors on consecutive row and column windows implies
 strict total positivity), which gets those minors level by level by integer
-condensation.  Both are exact.
+condensation.  Both work in exact integers on the rows scaled by the lcm of
+their denominators, and report a witness at its unscaled value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from itertools import combinations
 from .exactlinear import (
     Matrix,
     _bareiss_int,
-    bareiss_det,
     invert,
     invert_lower_triangular,
     pascal_matrix,
@@ -49,47 +49,22 @@ class TPCertificate:
         return self.verdict == "totally-positive"
 
 
-def _minor_evaluator(a: Matrix):
-    """Fast exact minor evaluation; integer fast path when possible."""
-    try:
-        grid = a.to_int_rows()
-    except ValueError:
-        grid = None
-
-    if grid is not None:
-
-        def minor(rows, cols) -> Fraction:
-            sub = [[grid[i][j] for j in cols] for i in rows]
-            return Fraction(_bareiss_int(sub))
-
-    else:
-
-        def minor(rows, cols) -> Fraction:
-            return bareiss_det(a.submatrix(rows, cols))
-
-    return minor
-
-
-def _certify(a: Matrix, method: str, index_sets) -> TPCertificate:
-    minor = _minor_evaluator(a)
-    checked = 0
-    for rows, cols in index_sets:
-        checked += 1
-        value = minor(rows, cols)
-        if value <= 0:
-            return TPCertificate(
-                verdict="not-totally-positive",
-                method=method,
-                minors_checked=checked,
-                witness=MinorWitness(tuple(rows), tuple(cols), value),
-            )
-    return TPCertificate(
-        verdict="totally-positive", method=method, minors_checked=checked, witness=None
-    )
+def _integer_rows(a: Matrix) -> tuple[list[list[int]], list[int]]:
+    """The rows of `a` scaled to integers, each by the lcm of its
+    denominators, with those scales.  A k x k minor of the scaled matrix is
+    the minor of `a` times the product of its rows' scales, so it has the
+    same sign."""
+    scales = [math.lcm(*(x.denominator for x in a.row(i))) for i in range(a.rows)]
+    grid = [
+        [x.numerator * (scale // x.denominator) for x in a.row(i)]
+        for i, scale in enumerate(scales)
+    ]
+    return grid, scales
 
 
 def all_minors_positive(a: Matrix) -> TPCertificate:
-    """Definitional check: every minor of every size, lexicographic order."""
+    """Definitional check: every minor of every size, lexicographic order,
+    each by Bareiss elimination on the integer-scaled rows."""
     if not a.is_square:
         raise ValueError("total positivity is defined for square matrices here")
     n = a.rows
@@ -97,14 +72,18 @@ def all_minors_positive(a: Matrix) -> TPCertificate:
         raise ValueError(
             f"all-minors check capped at size {ALL_MINORS_SIZE_CAP}; use fekete_check"
         )
-
-    def index_sets():
-        for k in range(1, n + 1):
-            for rows in combinations(range(n), k):
-                for cols in combinations(range(n), k):
-                    yield rows, cols
-
-    return _certify(a, "all-minors", index_sets())
+    grid, scales = _integer_rows(a)
+    checked = 0
+    for k in range(1, n + 1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                checked += 1
+                value = _bareiss_int([[grid[i][j] for j in cols] for i in rows])
+                if value <= 0:
+                    scale = math.prod(scales[i] for i in rows)
+                    witness = MinorWitness(rows, cols, Fraction(value, scale))
+                    return TPCertificate("not-totally-positive", "all-minors", checked, witness)
+    return TPCertificate("totally-positive", "all-minors", checked, None)
 
 
 def _solid_minors(grid: list[list[int]]):
@@ -151,12 +130,7 @@ def fekete_check(a: Matrix) -> TPCertificate:
     """
     if not a.is_square:
         raise ValueError("total positivity is defined for square matrices here")
-    n = a.rows
-    scales = [math.lcm(*(x.denominator for x in a.row(i))) for i in range(n)]
-    grid = [
-        [x.numerator * (scale // x.denominator) for x in a.row(i)]
-        for i, scale in enumerate(scales)
-    ]
+    grid, scales = _integer_rows(a)
     checked = 0
     for k, i, j, value in _solid_minors(grid):
         checked += 1

@@ -203,8 +203,8 @@ def gscm_piece_count(n: int, p: int, q: int, lam: int, mu: int) -> int:
 def gscm_count(n: int, p: int, q: int) -> int:
     """|GSCM_n(p, q)|, via the binomial sum and the product formula; the two
     must agree exactly."""
-    if p < 0 or q < 0:
-        raise ValueError("p, q must be nonnegative")
+    if n < 0 or p < 0 or q < 0:
+        raise ValueError("n, p, q must be nonnegative")
     by_sum = _binomial_sum(n, p * q, (p + 1) * (q + 1))
     prod = 1
     for i in range(1, n + 1):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import golden
 from metamatrix import cli, engine
@@ -290,9 +292,10 @@ class TestScmCount:
 class TestInputErrors:
     @pytest.mark.parametrize(
         "text",
-        ['{"matrix": []}', "[]", '{"matrix": 5}', '[["1/0"]]', "1/0 1\n1 1\n"],
+        ['{"matrix": []}', "[]", '{"matrix": 5}', '[["1/0"]]', "1/0 1\n1 1\n",
+         "[" * 100000],
         ids=["empty-matrix-key", "empty-list", "scalar-matrix", "zero-denominator-json",
-             "zero-denominator-grid"],
+             "zero-denominator-grid", "deep-json-nesting"],
     )
     def test_check_tp_rejects(self, runner, text):
         res = runner.invoke(main, ["check-tp", "-"], input=text)
@@ -306,6 +309,20 @@ class TestInputErrors:
         res = runner.invoke(main, ["check-tp", "-"], input='{"m": 1}')
         assert res.exit_code == 2
         assert 'cannot read matrix: the JSON object has no "matrix" key' in res.output
+
+    def test_all_minors_size_cap(self, runner):
+        text = "\n".join(" ".join(str(1 + i * j) for j in range(13)) for i in range(13))
+        res = runner.invoke(main, ["check-tp", "-", "--method", "all-minors"], input=text)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: --method all-minors is capped at size 12" in res.output
+
+    @pytest.mark.parametrize("args", [["3", "-1", "0"], ["-3", "1", "0"]])
+    def test_gscm_negative_arguments(self, runner, args):
+        res = runner.invoke(main, ["scm-count", "--gscm", "--", *args])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: n, p, q must be nonnegative" in res.output
 
     @pytest.mark.parametrize("command", ["compute", "verify", "ntable"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -329,6 +346,59 @@ class TestInputErrors:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "--rank must be positive" in res.output
+
+
+# Matrix tokens: integers, fractions (zero denominators included), decimals
+# and junk; no exponent notation, so no token can ask for a huge integer.
+TOKENS = st.one_of(
+    st.integers(-40, 40).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(-3, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["1.5", "-0.25", ".", "/", "-", "1/", "x", "nan", "inf", "[", "{", '"']),
+    st.text(alphabet="0123456789-/.ab", max_size=4),
+)
+GRIDS = st.lists(
+    st.lists(TOKENS, min_size=0, max_size=4).map(" ".join), min_size=0, max_size=4
+).map("\n".join)
+JSON_ENTRIES = st.one_of(
+    TOKENS, st.integers(-40, 40), st.floats(-1e3, 1e3), st.booleans(), st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+)
+JSON_GRIDS = st.one_of(
+    st.lists(st.lists(JSON_ENTRIES, max_size=4), max_size=4),
+    st.lists(JSON_ENTRIES, max_size=4),
+    JSON_ENTRIES,
+)
+JSON_TEXTS = st.one_of(
+    JSON_GRIDS,
+    st.dictionaries(st.sampled_from(["matrix", "m", "rows"]), JSON_GRIDS, max_size=2),
+).map(json.dumps)
+MATRIX_TEXTS = st.one_of(GRIDS, JSON_TEXTS, st.text(max_size=30))
+
+
+class TestCheckTpFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=MATRIX_TEXTS, method=st.sampled_from(["auto", "all-minors", "fekete"]))
+    def test_exit_code_documented_and_no_traceback(self, runner, text, method):
+        res = runner.invoke(main, ["check-tp", "-", "--method", method], input=text)
+        assert res.exit_code in (0, 1, 2), (res.exit_code, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4(self, runner, monkeypatch):
+        def boom(system):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(engine, "metamatrix_bruteforce", boom)
+        res = runner.invoke(
+            main, ["compute", "--family", "A", "--rank", "2", "--method", "oracle"]
+        )
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.output.splitlines() == ["Error: internal error: RuntimeError: boom second line"]
 
 
 class TestCacheWrite:

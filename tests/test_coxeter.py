@@ -1,24 +1,16 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
 from metamatrix.coxeter import (
-    EnumerationLimit,
     UnsupportedSystem,
-    _tower_iter,
-    apply_generator,
+    _identity_mat,
     build_system,
-    descent_profile,
-    enumerate_bfs,
-    enumerate_tower,
-    identity_element,
-    longest_element,
-    positive_columns,
+    leaf_prefixes,
     ring_matmul,
     root_system,
     tower_plan,
 )
+from metamatrix.engine import _matrix_elements, group_table
 from metamatrix.goldring import nonneg_grid
 
 SMALL_SYSTEMS = [
@@ -47,10 +39,26 @@ ALL_SYSTEMS = SMALL_SYSTEMS + [
 ]
 
 
-def collect(system):
-    out = []
-    enumerate_bfs(system, out.append)
-    return out
+def tower_matrices(plan):
+    """(mat, inv) root-coordinate matrices of every element the tower plan
+    covers, as leaf prefix times tail: column j of the matrix of w is the
+    root w(alpha_j)."""
+    n, coords = plan.system.rank, plan.roots.coords
+    for top in range(plan.top_size()):
+        for p, p_inv in zip(*leaf_prefixes(plan, top)):
+            for t, t_inv in zip(plan.tail_mats, plan.tail_invs):
+                yield coords[:, :, p[t[:n]]], coords[:, :, t_inv[p_inv[:n]]]
+
+
+def element_index(system):
+    """The oracle's elements (matrices, inverses) with an index by matrix."""
+    mats, invs = _matrix_elements(system)
+    return mats, invs, {m.tobytes(): i for i, m in enumerate(mats)}
+
+
+def longest_index(system):
+    """The elements with no right ascent (exactly one: the longest)."""
+    return [w for w, asc in enumerate(group_table(system).right_masks) if not asc]
 
 
 class TestBuildSystem:
@@ -81,7 +89,7 @@ class TestBuildSystem:
     def test_coxeter_relations(self, family, rank, m):
         s = build_system(family, rank, m)
         n = rank
-        eye = identity_element(s).mat
+        eye = _identity_mat(n)
         for i in range(n):
             for j in range(n):
                 order = s.coxeter_matrix[i][j]
@@ -132,88 +140,62 @@ class TestRootSystem:
 
 
 class TestApplyGenerator:
-    def test_involution(self):
-        s = build_system("B", 2)
-        e = identity_element(s)
-        w = apply_generator(apply_generator(e, 1, "right"), 1, "right")
-        assert w == e
-
     def test_generator_matrix(self):
         s = build_system("A", 2)
-        w = apply_generator(identity_element(s), 1, "right")
-        assert np.array_equal(w.mat[0], np.array([[-1, 1], [0, 1]]))
-
-    def test_b2_braid_relation(self):
-        s = build_system("B", 2)
-        w = identity_element(s)
-        for _ in range(4):
-            w = apply_generator(w, 1, "right")
-            w = apply_generator(w, 2, "right")
-        assert w == identity_element(s)
-
-    def test_left_right_consistency(self):
-        s = build_system("B", 3)
-        e = identity_element(s)
-        w = apply_generator(apply_generator(e, 1, "right"), 2, "right")  # s1 s2
-        u = apply_generator(apply_generator(e, 2, "right"), 1, "left")  # s1 s2
-        assert w == u
-
-    def test_index_out_of_range(self):
-        s = build_system("B", 2)
-        with pytest.raises(ValueError):
-            apply_generator(identity_element(s), 3, "right")
+        assert np.array_equal(s.generators[0][0], np.array([[-1, 1], [0, 1]]))
 
     def test_inverse_tracking(self):
         s = build_system("F", 4)
-        w = identity_element(s)
-        for i in [1, 2, 3, 2, 4, 1]:
-            w = apply_generator(w, i, "right")
-        assert np.array_equal(ring_matmul(w.mat, w.inv), identity_element(s).mat)
+        eye = _identity_mat(s.rank)
+        for mat, inv in zip(*_matrix_elements(s)):
+            assert np.array_equal(ring_matmul(mat, inv), eye)
 
 
-class TestDescentProfile:
+class TestAscentSets:
     def test_identity(self):
-        s = build_system("B", 3)
-        p = descent_profile(identity_element(s))
-        assert p.left_ascents == p.right_ascents == frozenset({1, 2, 3})
+        t = group_table(build_system("B", 3))
+        assert t.left_masks[0] == t.right_masks[0] == frozenset({1, 2, 3})
 
     def test_longest_b2(self):
         s = build_system("B", 2)
-        p = descent_profile(longest_element(s))
-        assert p.left_ascents == p.right_ascents == frozenset()
+        t = group_table(s)
+        (w0,) = longest_index(s)
+        assert t.left_masks[w0] == t.right_masks[w0] == frozenset()
 
     def test_s1_in_b2(self):
         s = build_system("B", 2)
-        w = apply_generator(identity_element(s), 1, "right")
-        p = descent_profile(w)
-        assert p.left_ascents == p.right_ascents == frozenset({2})
+        t = group_table(s)
+        w = element_index(s)[2][s.generators[0].tobytes()]
+        assert t.left_masks[w] == t.right_masks[w] == frozenset({2})
 
     @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("A", 3, None)])
     def test_inverse_swaps_sides(self, family, rank, m):
         s = build_system(family, rank, m)
-        for w in collect(s):
-            p = descent_profile(w)
-            q = descent_profile(w.inverse())
-            assert p.left_ascents == q.right_ascents
-            assert p.right_ascents == q.left_ascents
+        t = group_table(s)
+        _, invs, index = element_index(s)
+        for w, inv in enumerate(invs):
+            w_inv = index[inv.tobytes()]
+            assert t.left_masks[w] == t.right_masks[w_inv]
+            assert t.right_masks[w] == t.left_masks[w_inv]
 
 
 class TestLongestElement:
     def test_a1(self):
         s = build_system("A", 1)
-        assert longest_element(s) == apply_generator(identity_element(s), 1, "right")
+        index = element_index(s)[2]
+        assert longest_index(s) == [index[s.generators[0].tobytes()]]
 
     def test_b2_all_columns_negative(self):
         s = build_system("B", 2)
-        w = longest_element(s)
-        assert not positive_columns(w.mat).any()
+        (w0,) = longest_index(s)
+        mat = _matrix_elements(s)[0][w0]
+        assert not nonneg_grid(mat[0], mat[1]).all(axis=0).any()
 
     def test_i2_3_longest_word(self):
         s = build_system("I2", 2, m=3)
-        w = identity_element(s)
-        for i in [1, 2, 1]:
-            w = apply_generator(w, i, "right")
-        assert longest_element(s) == w
+        g1, g2 = s.generators
+        (w0,) = longest_index(s)
+        assert np.array_equal(_matrix_elements(s)[0][w0], ring_matmul(ring_matmul(g1, g2), g1))
 
 
 class TestEnumerateBfs:
@@ -222,70 +204,48 @@ class TestEnumerateBfs:
         [("B", 3, None, 48), ("F", 4, None, 1152), ("H", 4, None, 14400)],
     )
     def test_counts(self, family, rank, m, expected):
-        count = enumerate_bfs(build_system(family, rank, m), lambda w: None)
-        assert count == expected
-
-    def test_threshold(self):
-        with pytest.raises(EnumerationLimit, match="enumerate_tower"):
-            enumerate_bfs(build_system("E", 8), lambda w: None, threshold=10**6)
+        s = build_system(family, rank, m)
+        assert expected == s.order == len(_matrix_elements(s)[0])
 
     def test_unique_longest(self):
         for family, rank, m in [("B", 3, None), ("H", 3, None), ("A", 2, None)]:
             s = build_system(family, rank, m)
-            empty = [w for w in collect(s) if not descent_profile(w).right_ascents]
-            assert len(empty) == 1
-            assert empty[0] == longest_element(s)
+            t = group_table(s)
+            (w0,) = longest_index(s)
+            assert t.left_masks[w0] == frozenset()
+            mat = _matrix_elements(s)[0][w0]
+            assert not nonneg_grid(mat[0], mat[1]).all(axis=0).any()
 
     @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("I2", 2, 5)])
     def test_columns_are_roots(self, family, rank, m):
         s = build_system(family, rank, m)
-        for w in collect(s):
-            nonneg = nonneg_grid(w.mat[0], w.mat[1])
-            nonpos = nonneg_grid(-w.mat[0], -w.mat[1])
-            zero = (w.mat[0] == 0) & (w.mat[1] == 0)
+        for mat in _matrix_elements(s)[0]:
+            nonneg = nonneg_grid(mat[0], mat[1])
+            nonpos = nonneg_grid(-mat[0], -mat[1])
+            zero = (mat[0] == 0) & (mat[1] == 0)
             for j in range(s.rank):
                 col_ok = nonneg[:, j].all() or nonpos[:, j].all()
                 assert col_ok and not zero[:, j].all()
 
 
-def profile_multiset(system, enumerator):
-    counter = Counter()
-
-    def visit(w):
-        p = descent_profile(w)
-        counter[(len(p.left_ascents), len(p.right_ascents))] += 1
-
-    enumerator(system, visit)
-    return counter
-
-
 class TestEnumerateTower:
-    @pytest.mark.parametrize("family,rank,m", [("B", 4, None), ("D", 4, None), ("A", 4, None)])
-    def test_matches_bfs_profiles(self, family, rank, m):
-        s = build_system(family, rank, m)
-        assert profile_multiset(s, enumerate_tower) == profile_multiset(s, enumerate_bfs)
-
-    def test_e6_count(self):
-        assert enumerate_tower(build_system("E", 6), lambda w: None) == 51840
-
     def test_multilevel_plan_covers_group(self):
         s = build_system("B", 4)
-        plan = tower_plan(s, tail_cap=10)
-        keys = {mat.tobytes() for mat, _ in _tower_iter(plan)}
+        keys = {mat.tobytes() for mat, _ in tower_matrices(tower_plan(s, tail_cap=10))}
         assert len(keys) == s.order
+        assert keys == set(element_index(s)[2])
 
     @pytest.mark.parametrize(
         "family,rank,m,cap", [("B", 3, None, 1), ("H", 3, None, 8), ("I2", 2, 5, 1)]
     )
     def test_tower_matrices_equal_bfs_matrices(self, family, rank, m, cap):
         s = build_system(family, rank, m)
-        tower = [mat.tobytes() for mat, _ in _tower_iter(tower_plan(s, tail_cap=cap))]
+        tower = [mat.tobytes() for mat, _ in tower_matrices(tower_plan(s, tail_cap=cap))]
         assert len(tower) == len(set(tower)) == s.order
-        assert set(tower) == {w.key() for w in collect(s)}
+        assert set(tower) == set(element_index(s)[2])
 
     def test_tower_inverses_consistent(self):
         s = build_system("D", 4)
-        plan = tower_plan(s, tail_cap=10)
-        eye = identity_element(s).mat
-        for mat, inv in _tower_iter(plan):
+        eye = _identity_mat(s.rank)
+        for mat, inv in tower_matrices(tower_plan(s, tail_cap=10)):
             assert np.array_equal(ring_matmul(mat, inv), eye)

@@ -4,6 +4,7 @@ import pytest
 
 import golden
 from definitional import definitional_counts
+from metamatrix import engine
 from metamatrix.coxeter import EnumerationLimit, build_system, tower_plan
 from metamatrix.engine import (
     GroupTable,
@@ -116,6 +117,20 @@ class TestTower:
             progress=lambda done, total: calls.append((done, total)),
         )
         assert calls and calls[-1][0] == calls[-1][1]
+
+    def test_pool_reports_progress(self, monkeypatch):
+        system = build_system("B", 4)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        # a small tail gives several top-level cosets to share out
+        monkeypatch.setattr(engine, "tower_plan", lambda s: tower_plan(s, tail_cap=8))
+        top = tower_plan(system, tail_cap=8).top_size()
+        assert top > 1
+        calls = []
+        table = accumulate_ntable(
+            system, workers=2, progress=lambda done, total: calls.append((done, total))
+        )
+        assert calls == [(done, top) for done in range(1, top + 1)]
+        assert table == accumulate_ntable(system, workers=1)
 
     def test_workers_deterministic(self):
         system = build_system("B", 6)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -147,9 +148,24 @@ def fekete_by_bareiss(a: Matrix):
     return "totally-positive", checked, None
 
 
-def assert_matches_reference(a: Matrix):
-    cert = fekete_check(a)
-    verdict, checked, witness = fekete_by_bareiss(a)
+def all_minors_by_bareiss(a: Matrix):
+    """Reference all-minors scan: one Bareiss determinant of the unscaled
+    submatrix per minor, in lexicographic order; returns as fekete_by_bareiss."""
+    n = a.rows
+    checked = 0
+    for k in range(1, n + 1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                checked += 1
+                value = bareiss_det(a.submatrix(rows, cols))
+                if value <= 0:
+                    return "not-totally-positive", checked, (rows, cols, value)
+    return "totally-positive", checked, None
+
+
+def assert_matches_reference(a: Matrix, certify=fekete_check, reference=fekete_by_bareiss):
+    cert = certify(a)
+    verdict, checked, witness = reference(a)
     assert cert.verdict == verdict
     assert cert.minors_checked == checked
     if witness is None:
@@ -251,6 +267,35 @@ class TestCondensationMatchesBareiss:
 
     def test_singular_integer_matrix(self):
         assert_matches_reference(Matrix.from_rows([[1, 2, 3], [2, 5, 8], [3, 8, 13]]))
+
+
+class TestAllMinorsMatchesBareiss:
+    @staticmethod
+    def check(a: Matrix):
+        assert_matches_reference(a, all_minors_positive, all_minors_by_bareiss)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_ints)
+    def test_small_integer_matrices(self, grid):
+        self.check(Matrix.from_rows(grid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_rational_matrices(self, a):
+        self.check(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(zeroed_windows())
+    def test_zero_minor_deep_in_table(self, a):
+        self.check(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(row_scaled_tables())
+    def test_row_scaled_tables(self, a):
+        self.check(a)
+
+    def test_singular_integer_matrix(self):
+        self.check(Matrix.from_rows([[1, 2, 3], [2, 5, 8], [3, 8, 13]]))
 
 
 class TestIntegerConjugation:
