@@ -18,7 +18,13 @@ from pathlib import Path
 import click
 
 from . import engine, tp, typeb
-from .coxeter import _I2_MATRIX_M, EnumerationLimit, UnsupportedSystem, build_system
+from .coxeter import (
+    _I2_MATRIX_M,
+    EnumerationLimit,
+    UnsupportedSystem,
+    _group_order,
+    build_system,
+)
 from .exactlinear import Matrix
 
 ORACLE_LIMIT = 10**4
@@ -220,6 +226,14 @@ def _compute_metamatrix(
     return engine.metamatrix_bruteforce(system)
 
 
+def _check_invariants(result: engine.Metamatrix, fam: str, rank: int, m: int | None) -> None:
+    """Raise AssertionError (exit 4: a defect, not a verdict) when `result`
+    fails the metamatrix invariants of the group it claims to describe."""
+    failure = engine.metamatrix_invariant_failure(result, _group_order(fam, rank, m))
+    if failure is not None:
+        raise AssertionError(f"{_label(fam, rank, m)} {result.provenance}: {failure}")
+
+
 class _Main(click.Group):
     """The command group; an exception that no command handles exits with
     code 4 and a one-line message instead of a traceback and code 1."""
@@ -288,6 +302,7 @@ def compute(family, rank, m, workers, cache_dir, method, fmt, allow_long_running
         raise click.UsageError(str(exc))
     except EnumerationLimit as exc:
         raise ResourceLimit(str(exc))
+    _check_invariants(result, fam, rank, m)
     _emit_matrix(result.entries, fmt, fam, rank, m, result.provenance)
 
 
@@ -402,6 +417,8 @@ def verify(family, rank, m, workers, cache_dir):
         raise click.UsageError(str(exc))
     if not legs:
         raise click.UsageError("no applicable pipeline for this system")
+    for leg in legs.values():
+        _check_invariants(leg, fam, rank, m)
 
     names = sorted(legs)
     reference_name = names[0]

@@ -99,9 +99,11 @@ def metamatrix_from_ntable(table: NTable, provenance: str = "enumeration") -> Me
 
 def ntable_invariant_failure(table: NTable, order: int) -> str | None:
     """Why `table` cannot be the N-table of a group of rank table.n and order
-    `order`, or None.  Checks the shape, nonnegative entries, the total |W|
-    and the symmetries c[i][j] = c[j][i] = c[n-i][n-j].  M_00 is the sum of
-    all entries (every C(i, 0) is 1), so the total check is M_00 = |W|."""
+    `order`, or None.  Checks the shape, nonnegative entries, the total |W|,
+    the symmetries c[i][j] = c[j][i] = c[n-i][n-j] and row n = (0, ..., 0, 1)
+    (only the identity has n left ascents).  M_00 is the sum of all entries
+    (every C(i, 0) is 1), so the total check is M_00 = |W|; row n of the
+    metamatrix is C(n, q) exactly when row n of the N-table is the identity's."""
     n, c = table.n, table.counts
     if len(c) != n + 1 or any(len(row) != n + 1 for row in c):
         return f"N-table is not {n + 1}x{n + 1}"
@@ -111,6 +113,26 @@ def ntable_invariant_failure(table: NTable, order: int) -> str | None:
         return f"N-table total (M_00) is {table.total()}, expected |W| = {order}"
     if not table.is_symmetric():
         return "N-table lacks the symmetries c[i][j] = c[j][i] = c[n-i][n-j]"
+    if list(c[n]) != [0] * n + [1]:
+        return f"N-table row {n} is not the identity's (0, ..., 0, 1)"
+    return None
+
+
+def metamatrix_invariant_failure(m: Metamatrix, order: int) -> str | None:
+    """Why `m` cannot be the metamatrix of a group of rank m.n and order
+    `order`, or None.  Checks the shape, the symmetry M_pq = M_qp,
+    M_00 = |W| (with I and J empty every element is its own double coset)
+    and row n = C(n, q) (with I = S there is one double coset for each J).
+    None of these depends on the pipeline that produced `m`."""
+    n, e = m.n, m.entries
+    if len(e) != n + 1 or any(len(row) != n + 1 for row in e):
+        return f"metamatrix is not {n + 1}x{n + 1}"
+    if any(e[p][q] != e[q][p] for p in range(n + 1) for q in range(p)):
+        return "metamatrix is not symmetric"
+    if e[0][0] != order:
+        return f"M_00 is {e[0][0]}, expected |W| = {order}"
+    if list(e[n]) != [gen_binom(n, q) for q in range(n + 1)]:
+        return f"row {n} is not C({n}, q)"
     return None
 
 
@@ -297,20 +319,6 @@ def group_table(system: CoxeterSystem) -> GroupTable:
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = GroupTable(system)
     return _TABLE_CACHE[key]
-
-
-def minimal_reps_count(
-    system: CoxeterSystem, left: Iterable[int], right: Iterable[int]
-) -> int:
-    """#{w : I contained in L(w), J contained in R(w)}."""
-    table = group_table(system)
-    left = frozenset(left)
-    right = frozenset(right)
-    return sum(
-        1
-        for w in range(table.size)
-        if left <= table.left_masks[w] and right <= table.right_masks[w]
-    )
 
 
 def double_coset_count(

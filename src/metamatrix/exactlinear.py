@@ -59,11 +59,6 @@ class Matrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def to_int_rows(self) -> list[list[int]]:
-        if any(x.denominator != 1 for x in self._data):
-            raise ValueError("matrix has non-integer entries")
-        return [[int(x) for x in self.row(i)] for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -104,11 +99,6 @@ class Matrix:
             len(row_idx),
             len(col_idx),
             [self[i, j] for i in row_idx for j in col_idx],
-        )
-
-    def is_lower_triangular(self) -> bool:
-        return all(
-            self[i, j] == 0 for i in range(self.rows) for j in range(i + 1, self.cols)
         )
 
     def is_upper_triangular(self) -> bool:
@@ -170,59 +160,12 @@ def bareiss_det(a: Matrix) -> Fraction:
     return Fraction(_bareiss_int(grid)) / scale
 
 
-def pascal_matrix(n: int) -> Matrix:
-    """(n+1)x(n+1) lower-triangular matrix of binomial coefficients."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return Matrix.from_rows(
-        [[gen_binom(i, j) for j in range(n + 1)] for i in range(n + 1)]
-    )
-
-
 def vandermonde_half_nodes(n: int) -> Matrix:
     """Vandermonde matrix at the half-integer nodes 1/2, 3/2, ..., n+1/2."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     nodes = [Fraction(2 * i + 1, 2) for i in range(n + 1)]
     return Matrix.from_rows([[x**j for j in range(n + 1)] for x in nodes])
-
-
-def invert_lower_triangular(p: Matrix) -> Matrix:
-    """Exact inverse of a lower-triangular matrix by forward substitution."""
-    if not p.is_square:
-        raise ValueError("inverse requires a square matrix")
-    if not p.is_lower_triangular():
-        raise ValueError("matrix is not lower triangular")
-    n = p.rows
-    if any(p[i, i] == 0 for i in range(n)):
-        raise ValueError("zero diagonal entry")
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        inv[j][j] = 1 / p[j, j]
-        for i in range(j + 1, n):
-            s = sum(p[i, k] * inv[k][j] for k in range(j, i))
-            inv[i][j] = -s / p[i, i]
-    return Matrix.from_rows(inv)
-
-
-def invert(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over the rationals."""
-    if not a.is_square:
-        raise ValueError("inverse requires a square matrix")
-    n = a.rows
-    aug = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if aug[r][k] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        piv = aug[k][k]
-        aug[k] = [x / piv for x in aug[k]]
-        for r in range(n):
-            if r != k and aug[r][k] != 0:
-                f = aug[r][k]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-    return Matrix.from_rows([row[n:] for row in aug])
 
 
 def _inverse_pascal_apply(x: Sequence[Scalar]) -> list[Scalar]:
@@ -236,49 +179,19 @@ def _inverse_pascal_apply(x: Sequence[Scalar]) -> list[Scalar]:
     return out
 
 
-def conjugate_by_inverse_pascal(l_mat: Matrix) -> Matrix:
-    """Compute T with L = P * T * P^t, i.e. T = P^{-1} * L * (P^{-1})^t.
+def inverse_pascal_times(grid: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """P^{-1} * grid, as forward differences down each column."""
+    columns = [_inverse_pascal_apply(col) for col in zip(*grid)]
+    return [list(row) for row in zip(*columns)]
+
+
+def conjugate_by_inverse_pascal(grid: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """Compute T with L = P * T * P^t, i.e. T = P^{-1} * L * (P^{-1})^t, for a
+    square L given as rows.
 
     P^{-1} is applied as forward differences, first down each column of L and
-    then along each row, in python ints when every entry is an integer.
+    then along each row, so integer input stays in python ints.
     """
-    if not l_mat.is_square:
+    if any(len(row) != len(grid) for row in grid):
         raise ValueError("square matrix required")
-    try:
-        grid: list[list[Scalar]] = l_mat.to_int_rows()
-    except ValueError:
-        grid = l_mat.to_rows()
-    columns = [_inverse_pascal_apply(col) for col in zip(*grid)]
-    return Matrix.from_rows([_inverse_pascal_apply(row) for row in zip(*columns)])
-
-
-def verify_alternating_identity(n: int, k: int) -> bool:
-    """Check sum_{i=0}^{k} (-1)^i C(n,i) C(n+k-1-i, k-i) == 0."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    total = sum(
-        (-1) ** i * gen_binom(n, i) * gen_binom(n + k - 1 - i, k - i)
-        for i in range(k + 1)
-    )
-    return total == 0
-
-
-def verify_root_identity(n: int, k: int, x: Scalar) -> bool:
-    """Check the falling-product expansion identity at a rational point.
-
-    sum_{i=0}^{k} (-1)^i i! C(n,i) C(k,i) prod_{j=0}^{n-1-i}(x+k+j)
-        == prod_{j=0}^{n-1}(x+j)
-    """
-    if not (1 <= k <= n):
-        raise ValueError("need n >= k >= 1")
-    x = Fraction(x)
-    lhs = Fraction(0)
-    for i in range(k + 1):
-        prod = Fraction(1)
-        for j in range(n - i):
-            prod *= x + k + j
-        lhs += (-1) ** i * math.factorial(i) * gen_binom(n, i) * gen_binom(k, i) * prod
-    rhs = Fraction(1)
-    for j in range(n):
-        rhs *= x + j
-    return lhs == rhs
+    return [_inverse_pascal_apply(row) for row in inverse_pascal_times(grid)]

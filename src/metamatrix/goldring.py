@@ -1,74 +1,14 @@
-"""Exact arithmetic in the quadratic ring Z[phi] (phi the golden ratio).
+"""Exact sign tests in the quadratic ring Z[phi] (phi the golden ratio).
 
-Elements are pairs a + b*phi with phi^2 = phi + 1.  The sign of a nonzero
-element is decided exactly by integer comparisons, never by floating point:
+An element a + b*phi (phi^2 = phi + 1) is held as its integer coordinates.
+Its sign is decided exactly by integer comparisons, never by floating point:
 a + b*phi = ((2a + b) + b*sqrt(5)) / 2, so the sign reduces to comparing
 (2a+b)^2 against 5*b^2 when the two terms disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Golden:
-    """a + b*phi with exact components (ints, or Fractions during solves)."""
-
-    a: int | Fraction
-    b: int | Fraction
-
-    def __add__(self, other: "Golden") -> "Golden":
-        return Golden(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Golden") -> "Golden":
-        return Golden(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "Golden":
-        return Golden(-self.a, -self.b)
-
-    def __mul__(self, other: "Golden") -> "Golden":
-        # (a1 + b1 phi)(a2 + b2 phi), using phi^2 = phi + 1
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return Golden(a1 * a2 + b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
-
-    def inverse(self) -> "Golden":
-        # conjugate is a + b*(1 - phi); norm a^2 + a*b - b^2 is rational
-        norm = self.a * self.a + self.a * self.b - self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return Golden(Fraction(self.a + self.b, 1) / norm, Fraction(-self.b, 1) / norm)
-
-    def __truediv__(self, other: "Golden") -> "Golden":
-        return self * other.inverse()
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def sign(self) -> int:
-        """Exact sign of the real number a + b*phi."""
-        a, b = self.a, self.b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        s = 2 * a + b
-        if b > 0:
-            if s >= 0:
-                return 1
-            return 1 if 5 * b * b > s * s else -1
-        if s <= 0:
-            return -1
-        return 1 if s * s > 5 * b * b else -1
-
-    def __repr__(self) -> str:
-        return f"Golden({self.a}, {self.b})"
-
-
-PHI = Golden(0, 1)
-ZERO = Golden(0, 0)
-ONE = Golden(1, 0)
 
 
 def nonneg_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,12 +20,10 @@ from itertools import combinations
 from .exactlinear import (
     Matrix,
     _bareiss_int,
-    invert,
-    invert_lower_triangular,
-    pascal_matrix,
+    inverse_pascal_times,
     vandermonde_half_nodes,
 )
-from .typeb import L_matrix, scm_table
+from .typeb import scm_table
 
 ALL_MINORS_SIZE_CAP = 12
 
@@ -156,32 +154,45 @@ class DecompositionReport:
         return self.upper_triangular and self.diagonal_positive and self.reconstructs
 
 
+def _half_node_diagonal(n: int) -> tuple[Fraction, ...]:
+    """D_kk = 2^k e_{n-k}(1/2, 3/2, ..., n-1/2) / n!, the coefficient of s^k
+    in C(s + n - 1/2, n) times 2^k.  With u_p = p + 1/2 and s = 2 u_p u_q,
+    C(s + n - 1/2, n) = C(2pq + p + q + n, n) = L_pq, so L = V * D * V^t for
+    the Vandermonde matrix V at the nodes u_p."""
+    # C(s + n - 1/2, n) = sum_k c_k (2s)^k / (2^n n!), where the integers c_k
+    # are the coefficients of prod_{i=1..n} (t + 2i - 1)
+    coeffs = [1]
+    for i in range(1, n + 1):
+        coeffs = [(2 * i - 1) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    scale = 2**n * math.factorial(n)
+    return tuple(Fraction(c * 4**k, scale) for k, c in enumerate(coeffs))
+
+
 def gauss_decomposition_typeb(n: int) -> tuple[Matrix, Matrix, DecompositionReport]:
     """Factor the signed-contingency table as Q * D * Q^t with Q = P^{-1} * V
-    upper triangular and D positive diagonal.
+    upper triangular and D positive diagonal, both in closed form.
 
-    Any failed structural assertion is a fatal defect and raises.
+    Q is invertible (its diagonal is 0!, 1!, ..., n!), so the exact
+    reconstruction Q * D * Q^t = T alone proves T congruent to the diagonal
+    D.  Any failed structural assertion is a fatal defect and raises.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    p = pascal_matrix(n)
-    v = vandermonde_half_nodes(n)
-    q = invert_lower_triangular(p) * v
-    l_mat = L_matrix(n)
-    v_inv = invert(v)
-    d = v_inv * l_mat * v_inv.transpose()
+    q = Matrix.from_rows(inverse_pascal_times(vandermonde_half_nodes(n).to_rows()))
+    diag = _half_node_diagonal(n)
+    d = Matrix.from_rows(
+        [[diag[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+    )
 
     upper = q.is_upper_triangular()
-    diagonal = d.is_diagonal()
-    diag = tuple(d[i, i] for i in range(n + 1))
     positive = all(x > 0 for x in diag)
-    reconstructs = q * d * q.transpose() == scm_table(n)
+    reconstructs = q * d * q.transpose() == Matrix.from_rows(scm_table(n))
     report = DecompositionReport(
         upper_triangular=upper,
         diagonal=diag,
         diagonal_positive=positive,
         reconstructs=reconstructs,
     )
-    if not (upper and diagonal and positive and reconstructs):
+    if not report.ok:
         raise AssertionError(f"type-B factorization failed structurally: {report}")
     return q, d, report

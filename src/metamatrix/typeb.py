@@ -2,8 +2,9 @@
 
 Margins are compositions with a flag recording whether the last (short-node)
 generator is present.  Counting goes through generalized signed contingency
-matrices, which have closed-form cardinalities; the type-B metamatrix falls
-out by conjugating with the inverse Pascal matrix and reversing indices.
+matrices, |GSCM_n(p, q)| = C(2pq + p + q + n, n); the type-B metamatrix falls
+out by conjugating that table with the inverse Pascal matrix and reversing
+indices, all in python ints.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import product
 from typing import Iterator
 
 from .engine import Metamatrix
-from .exactlinear import Matrix, conjugate_by_inverse_pascal, gen_binom
+from .exactlinear import conjugate_by_inverse_pascal
 
 SCM_BRUTE_FORCE_CAP = 5
 
@@ -174,60 +175,21 @@ def scm_count(n: int, p: int, q: int) -> int:
     )
 
 
-def _binomial_sum(n: int, pq: int, x: int) -> int:
-    """A(x) = sum_a C(a+x-1, a) * C(n-a+pq-1, n-a)."""
-    return sum(
-        gen_binom(a + x - 1, a) * gen_binom(n - a + pq - 1, n - a)
-        for a in range(n + 1)
-    )
-
-
-def gscm_piece_count(n: int, p: int, q: int, lam: int, mu: int) -> int:
-    """Closed-form cardinality of the (lam, mu) piece of the generalized
-    signed contingency matrices."""
-    if p < 0 or q < 0 or lam not in (0, 1) or mu not in (0, 1):
-        raise ValueError("bad arguments")
-    a00 = _binomial_sum(n, p * q, p * q)
-    if (lam, mu) == (0, 0):
-        return a00
-    a10 = _binomial_sum(n, p * q, (p + 1) * q)
-    if (lam, mu) == (1, 0):
-        return a10 - a00
-    a01 = _binomial_sum(n, p * q, p * (q + 1))
-    if (lam, mu) == (0, 1):
-        return a01 - a00
-    a11 = _binomial_sum(n, p * q, (p + 1) * (q + 1))
-    return a11 - a01 - a10 + a00
-
-
 def gscm_count(n: int, p: int, q: int) -> int:
-    """|GSCM_n(p, q)|, via the binomial sum and the product formula; the two
-    must agree exactly."""
+    """|GSCM_n(p, q)| = C(2pq + p + q + n, n)."""
     if n < 0 or p < 0 or q < 0:
         raise ValueError("n, p, q must be nonnegative")
-    by_sum = _binomial_sum(n, p * q, (p + 1) * (q + 1))
-    prod = 1
-    for i in range(1, n + 1):
-        prod *= 2 * p * q + p + q + i
-    by_product, rem = divmod(prod, math.factorial(n))
-    if rem != 0 or by_sum != by_product:
-        raise AssertionError(
-            f"count formulas disagree at n={n}, p={p}, q={q}: "
-            f"{by_sum} vs {prod}/{n}!"
-        )
-    return by_sum
+    return math.comb(2 * p * q + p + q + n, n)
 
 
-def L_matrix(n: int) -> Matrix:
+def L_matrix(n: int) -> list[list[int]]:
     """(n+1)x(n+1) table of generalized signed contingency counts."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Matrix.from_rows(
-        [[gscm_count(n, p, q) for q in range(n + 1)] for p in range(n + 1)]
-    )
+    return [[gscm_count(n, p, q) for q in range(n + 1)] for p in range(n + 1)]
 
 
-def scm_table(n: int) -> Matrix:
+def scm_table(n: int) -> list[list[int]]:
     """The (n+1)x(n+1) table T with T_pq = |SCM_n(p, q)|, from the closed
     form: T = P^{-1} * L * (P^{-1})^t."""
     return conjugate_by_inverse_pascal(L_matrix(n))
@@ -236,30 +198,7 @@ def scm_table(n: int) -> Matrix:
 def metamatrix_typeb(n: int) -> Metamatrix:
     """Exact metamatrix of the hyperoctahedral group of rank n."""
     t = scm_table(n)
-    rows = t.to_int_rows()
     entries = tuple(
-        tuple(rows[n - p][n - q] for q in range(n + 1)) for p in range(n + 1)
+        tuple(t[n - p][n - q] for q in range(n + 1)) for p in range(n + 1)
     )
     return Metamatrix(n=n, entries=entries, provenance="formula")
-
-
-def verify_scm_gscm_transform(n: int, lam: int, mu: int) -> bool:
-    """Check the binomial-transform relation between fixed-case SCM and GSCM
-    counts at every (p, q) with both sides computed independently."""
-    if n > SCM_BRUTE_FORCE_CAP:
-        raise ValueError(f"brute-force SCM enumeration capped at n={SCM_BRUTE_FORCE_CAP}")
-    scm = {
-        (i, j): scm_count_fixed_case(n, i, j, lam, mu)
-        for i in range(n + 1)
-        for j in range(n + 1)
-    }
-    for p in range(n + 1):
-        for q in range(n + 1):
-            rhs = sum(
-                gen_binom(p, i) * gen_binom(q, j) * scm[(i, j)]
-                for i in range(p + 1)
-                for j in range(q + 1)
-            )
-            if gscm_piece_count(n, p, q, lam, mu) != rhs:
-                return False
-    return True

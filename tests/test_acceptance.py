@@ -13,6 +13,7 @@ from itertools import chain, combinations
 import pytest
 
 import golden
+from definitional import minimal_reps_count
 from metamatrix.coxeter import build_system
 from metamatrix.engine import (
     accumulate_ntable,
@@ -20,14 +21,8 @@ from metamatrix.engine import (
     double_coset_count,
     metamatrix_bruteforce,
     metamatrix_from_ntable,
-    minimal_reps_count,
 )
-from metamatrix.exactlinear import (
-    Matrix,
-    bareiss_det,
-    verify_alternating_identity,
-    verify_root_identity,
-)
+from metamatrix.exactlinear import Matrix, bareiss_det
 from metamatrix.tp import (
     all_minors_positive,
     fekete_check,
@@ -39,6 +34,12 @@ from metamatrix.typeb import (
     metamatrix_typeb,
     scm_table,
     subset_to_margin,
+)
+from references import (
+    binomial_sum,
+    gscm_product,
+    verify_alternating_identity,
+    verify_root_identity,
     verify_scm_gscm_transform,
 )
 
@@ -142,7 +143,8 @@ def test_criterion_06_formula_identities():
         for n in range(1, 11):
             for p in range(9):
                 for q in range(9):
-                    gscm_count(n, p, q)  # raises if the two formulas disagree
+                    by_sum = binomial_sum(n, p * q, (p + 1) * (q + 1))
+                    assert gscm_count(n, p, q) == by_sum == gscm_product(n, p, q), (n, p, q)
         assert all(
             verify_alternating_identity(n, k)
             for n in range(1, 13)
@@ -171,7 +173,7 @@ def test_criterion_08_decomposition():
             assert report.ok
             assert q.is_upper_triangular()
             assert d.is_diagonal() and all(x > 0 for x in report.diagonal)
-            assert q * d * q.transpose() == scm_table(n)
+            assert q * d * q.transpose() == Matrix.from_rows(scm_table(n))
 
 
 def _reference_matrices():

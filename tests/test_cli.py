@@ -6,9 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import golden
-from metamatrix import cli, engine
+from metamatrix import cli, engine, typeb
 from metamatrix.cli import main
-from metamatrix.engine import NTable
+from metamatrix.engine import Metamatrix, NTable
 from metamatrix.typeb import metamatrix_typeb
 
 
@@ -107,7 +107,7 @@ class TestCache:
         ]
 
     # not the B3 table, but it has the N-table invariants of a group of order 48
-    FAKE = NTable(n=3, counts=((24, 0, 0, 0),) + ((0,) * 4,) * 2 + ((0, 0, 0, 24),))
+    FAKE = NTable(n=3, counts=((1, 0, 0, 0), (0, 23, 0, 0), (0, 0, 23, 0), (0, 0, 0, 1)))
 
     def write_entry(self, cache, table, **changes):
         payload = cli._ntable_payload("B", 3, None, 48, table)
@@ -119,8 +119,9 @@ class TestCache:
         self.write_entry(tmp_path, self.FAKE)
         res = runner.invoke(main, self.args(tmp_path))
         assert res.exit_code == 0
-        # the last row of the metamatrix comes from the single fake cell N_33
-        assert matrix_of(res.output)[3] == [24, 72, 72, 24]
+        served = matrix_of(res.output)
+        assert served == [list(r) for r in engine.metamatrix_from_ntable(self.FAKE).entries]
+        assert served != [list(r) for r in metamatrix_typeb(3).entries]
 
     def test_cached_table_failing_invariants_recomputed(self, runner, tmp_path):
         fake = NTable(n=3, counts=((0,) * 4,) * 3 + ((0, 0, 0, 7),))
@@ -386,7 +387,54 @@ class TestCheckTpFuzz:
         assert "Traceback" not in res.output
 
 
+# Integer tokens up to rank 30 (negative, zero and out-of-range included) and
+# tokens click must reject as integers.
+ARG_TOKENS = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.sampled_from(["2.5", "1e3", "0x10", "x", "", "-", "--", " 3", "٣"]),
+)
+
+
+def assert_documented_exit(res):
+    assert res.exit_code in (0, 1, 2, 3), (res.exit_code, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+class TestTypeBArgsFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=ARG_TOKENS, p=ARG_TOKENS, q=ARG_TOKENS, gscm=st.booleans())
+    def test_scm_count(self, runner, n, p, q, gscm):
+        args = ["scm-count", n, p, q] + (["--gscm"] if gscm else [])
+        assert_documented_exit(runner.invoke(main, args))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        family=st.sampled_from(["B", "b", "I2", "i2"]),
+        rank=st.none() | ARG_TOKENS,
+        m=st.none() | ARG_TOKENS,
+    )
+    def test_compute_formula(self, runner, family, rank, m):
+        args = ["compute", "--method", "formula", "--family", family]
+        args += [] if rank is None else ["--rank", rank]
+        args += [] if m is None else ["--m", m]
+        assert_documented_exit(runner.invoke(main, args))
+
+
 class TestInternalError:
+    BAD_B2 = Metamatrix(n=2, entries=((8, 8, 1), (8, 10, 2), (1, 2, 2)), provenance="formula")
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_metamatrix_invariant_failure_exits_4(self, runner, monkeypatch, command):
+        monkeypatch.setattr(typeb, "metamatrix_typeb", lambda n: self.BAD_B2)
+        res = runner.invoke(main, [command, "--family", "B", "--rank", "2"])
+        assert res.exit_code == 4
+        assert res.output.splitlines() == [
+            "Error: internal error: AssertionError: B2 formula: row 2 is not C(2, q)"
+        ]
+
     def test_unexpected_exception_exits_4(self, runner, monkeypatch):
         def boom(system):
             raise RuntimeError("boom\nsecond line")

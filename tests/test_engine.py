@@ -3,9 +3,9 @@ from itertools import chain, combinations
 import pytest
 
 import golden
-from definitional import definitional_counts
+from definitional import definitional_counts, minimal_reps_count
 from metamatrix import engine
-from metamatrix.coxeter import EnumerationLimit, build_system, tower_plan
+from metamatrix.coxeter import EnumerationLimit, _group_order, build_system, tower_plan
 from metamatrix.engine import (
     GroupTable,
     Metamatrix,
@@ -16,7 +16,7 @@ from metamatrix.engine import (
     double_coset_count,
     metamatrix_bruteforce,
     metamatrix_from_ntable,
-    minimal_reps_count,
+    metamatrix_invariant_failure,
     ntable_invariant_failure,
     pool_size,
     usable_cpus,
@@ -164,6 +164,7 @@ class TestInvariants:
             (((1, 1, 0), (0, 5, 0), (0, 0, 1)), 8, "symmetries"),
             (((1, 0, 0), (0, 6, 0)), 7, "not 3x3"),
             (((2, 0, 0), (0, 6, -1), (0, -1, 2)), 8, "negative"),
+            (((0, 0, 1), (0, 6, 0), (1, 0, 0)), 8, "row 2"),
         ],
     )
     def test_bad_tables(self, counts, order, reason):
@@ -176,6 +177,41 @@ class TestInvariants:
         system = build_system(family, rank, m)
         table = accumulate_ntable(system)
         assert metamatrix_from_ntable(table).entries[0][0] == system.order
+
+
+GOLDEN_TABLES = {
+    f"I2({m})": ("I2", 2, m, golden.dihedral_metamatrix(m)) for m in range(2, 8)
+} | {
+    label: (label[0], int(label[1]), None, table) for label, table in golden.EXCEPTIONAL.items()
+}
+
+
+class TestMetamatrixInvariants:
+    B2 = ((8, 8, 1), (8, 10, 2), (1, 2, 1))
+
+    def test_valid_metamatrix(self):
+        assert metamatrix_invariant_failure(Metamatrix(2, self.B2, "formula"), 8) is None
+
+    @pytest.mark.parametrize(
+        "entries,order,reason",
+        [
+            (((8, 8, 1), (8, 10, 2)), 8, "not 3x3"),
+            (((8, 8, 1), (8, 10, 2), (1, 2)), 8, "not 3x3"),
+            (((8, 8, 1), (9, 10, 2), (1, 2, 1)), 8, "not symmetric"),
+            (((8, 8, 1), (8, 10, 2), (1, 2, 1)), 10, "M_00 is 8"),
+            (((8, 8, 1), (8, 10, 3), (1, 3, 1)), 8, "row 2 is not C(2, q)"),
+        ],
+    )
+    def test_bad_metamatrices(self, entries, order, reason):
+        bad = Metamatrix(2, entries, "formula")
+        assert reason in metamatrix_invariant_failure(bad, order)
+
+    @pytest.mark.parametrize(
+        "family,rank,m,table", list(GOLDEN_TABLES.values()), ids=list(GOLDEN_TABLES)
+    )
+    def test_golden_tables_pass(self, family, rank, m, table):
+        metamatrix = Metamatrix(rank, tuple(map(tuple, table)), "golden")
+        assert metamatrix_invariant_failure(metamatrix, _group_order(family, rank, m)) is None
 
 
 class TestOracle:

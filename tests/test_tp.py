@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from metamatrix.exactlinear import (
-    Matrix,
-    bareiss_det,
-    conjugate_by_inverse_pascal,
-    invert_lower_triangular,
-    pascal_matrix,
-)
+from metamatrix.exactlinear import Matrix, bareiss_det, conjugate_by_inverse_pascal
 from metamatrix.tp import (
     ALL_MINORS_SIZE_CAP,
     all_minors_positive,
@@ -20,12 +15,13 @@ from metamatrix.tp import (
     gauss_decomposition_typeb,
 )
 from metamatrix.typeb import scm_table
+from references import invert_lower_triangular, pascal_matrix
 
 
 def tp_corpus():
     yield Matrix.from_rows([[2, 1], [1, 1]])
     yield Matrix.from_rows([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
-    yield scm_table(3)
+    yield Matrix.from_rows(scm_table(3))
     yield Matrix.from_rows(golden.dihedral_metamatrix(5))
     yield Matrix.from_rows(golden.H3)
 
@@ -120,7 +116,8 @@ class TestGaussDecomposition:
         assert q.is_upper_triangular()
         assert d.is_diagonal()
         assert all(x > 0 for x in report.diagonal)
-        assert q * d * q.transpose() == scm_table(n)
+        assert q * d * q.transpose() == Matrix.from_rows(scm_table(n))
+        assert [q[k, k] for k in range(n + 1)] == [math.factorial(k) for k in range(n + 1)]
 
     def test_n1_diagonal(self):
         _, d, _ = gauss_decomposition_typeb(1)
@@ -177,7 +174,7 @@ def assert_matches_reference(a: Matrix, certify=fekete_check, reference=fekete_b
 
 def tp_tables():
     return [Matrix.from_rows(golden.H3), Matrix.from_rows(golden.F4)] + [
-        scm_table(n) for n in range(2, 7)
+        Matrix.from_rows(scm_table(n)) for n in range(2, 7)
     ]
 
 
@@ -299,17 +296,18 @@ class TestAllMinorsMatchesBareiss:
 
 
 class TestIntegerConjugation:
-    def reference(self, l_mat: Matrix) -> Matrix:
+    def reference(self, l_mat: Matrix) -> list:
         p_inv = invert_lower_triangular(pascal_matrix(l_mat.rows - 1))
-        return p_inv * l_mat * p_inv.transpose()
+        return (p_inv * l_mat * p_inv.transpose()).to_rows()
 
     @settings(max_examples=100, deadline=None)
     @given(small_ints)
     def test_integer_input(self, grid):
-        l_mat = Matrix.from_rows(grid)
-        assert conjugate_by_inverse_pascal(l_mat) == self.reference(l_mat)
+        got = conjugate_by_inverse_pascal(grid)
+        assert got == self.reference(Matrix.from_rows(grid))
+        assert all(type(x) is int for row in got for x in row)
 
     @settings(max_examples=100, deadline=None)
     @given(rational_matrices())
     def test_fraction_input(self, l_mat):
-        assert conjugate_by_inverse_pascal(l_mat) == self.reference(l_mat)
+        assert conjugate_by_inverse_pascal(l_mat.to_rows()) == self.reference(l_mat)

@@ -1,13 +1,19 @@
+import hashlib
+import json
 import math
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import golden
+from metamatrix.exactlinear import gen_binom
 
 from metamatrix.typeb import (
     MarginCondition,
     enumerate_scm,
     gscm_count,
-    gscm_piece_count,
     margin_conditions,
     margin_to_subset,
     metamatrix_typeb,
@@ -15,8 +21,8 @@ from metamatrix.typeb import (
     scm_count_fixed_case,
     scm_table,
     subset_to_margin,
-    verify_scm_gscm_transform,
 )
+from references import binomial_sum, gscm_piece_count, gscm_product, verify_scm_gscm_transform
 
 
 def subsets(n):
@@ -122,7 +128,7 @@ class TestEnumerateScm:
 class TestScmCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_table_matches_enumeration(self, n):
-        t = scm_table(n).to_int_rows()
+        t = scm_table(n)
         for p in range(n + 1):
             for q in range(n + 1):
                 assert t[p][q] == scm_count(n, p, q)
@@ -183,6 +189,17 @@ class TestGscm:
         with pytest.raises(ValueError):
             gscm_count(2, -1, 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
+    def test_closed_form_matches_sum_and_product(self, n, p, q):
+        by_sum = binomial_sum(n, p * q, (p + 1) * (q + 1))
+        assert gscm_count(n, p, q) == by_sum == gscm_product(n, p, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 30), st.integers(0, 40), st.integers(0, 40))
+    def test_binomial_sum_is_one_binomial(self, n, pq, x):
+        assert binomial_sum(n, pq, x) == gen_binom(n + x + pq - 1, n)
+
 
 class TestMetamatrixTypeb:
     def test_n1(self):
@@ -201,3 +218,8 @@ class TestMetamatrixTypeb:
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             metamatrix_typeb(0)
+
+    def test_b1_to_b64_match_frozen_digest(self):
+        tables = [metamatrix_typeb(n).entries for n in range(1, 65)]
+        canon = json.dumps(tables, separators=(",", ":"))
+        assert hashlib.sha256(canon.encode()).hexdigest() == golden.TYPEB_1_TO_64_SHA256
