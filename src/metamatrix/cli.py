@@ -27,7 +27,6 @@ from .coxeter import (
 )
 from .exactlinear import Matrix
 
-ORACLE_LIMIT = 10**4
 DEFAULT_CACHE_DIR = "~/.metamatrix-cache"
 
 
@@ -213,17 +212,8 @@ def _compute_metamatrix(
         progress = _progress_printer(_label(fam, rank, m)) if fam == "E" and rank == 8 else None
         table = _cached_ntable(build_system(fam, rank, m), cache, workers, progress)
         return engine.metamatrix_from_ntable(table)
-    # oracle
-    try:
-        system = build_system(fam, rank, m)
-    except UnsupportedSystem as exc:
-        raise click.UsageError(str(exc))
-    if system.order > ORACLE_LIMIT:
-        raise ResourceLimit(
-            f"oracle method limited to groups of order <= {ORACLE_LIMIT} "
-            f"(|W| = {system.order})"
-        )
-    return engine.metamatrix_bruteforce(system)
+    # oracle; its group table raises EnumerationLimit above engine.ORACLE_LIMIT
+    return engine.metamatrix_bruteforce(build_system(fam, rank, m))
 
 
 def _check_invariants(result: engine.Metamatrix, fam: str, rank: int, m: int | None) -> None:
@@ -411,7 +401,7 @@ def verify(family, rank, m, workers, cache_dir):
             system = build_system(fam, rank, m)
             table = _cached_ntable(system, cache, workers)
             legs["enumeration"] = engine.metamatrix_from_ntable(table)
-            if system.order <= ORACLE_LIMIT and rank <= 6:
+            if system.order <= engine.ORACLE_LIMIT:
                 legs["oracle"] = engine.metamatrix_bruteforce(system)
     except UnsupportedSystem as exc:
         raise click.UsageError(str(exc))

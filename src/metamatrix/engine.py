@@ -222,85 +222,70 @@ def accumulate_ntable(
     return table
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def class_count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
+def _keys(stack: np.ndarray) -> list[bytes]:
+    """One byte key per element of a (2, N, n, n) stack: the tobytes() of its
+    (2, n, n) matrix."""
+    return [m.tobytes() for m in np.ascontiguousarray(np.moveaxis(stack, 1, 0))]
 
 
-def _matrix_elements(system: CoxeterSystem) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _matrix_elements(system: CoxeterSystem) -> tuple[np.ndarray, np.ndarray]:
     """Every element as a root-coordinate matrix with its inverse, by
-    breadth-first search on right multiplication by generators."""
-    e = _identity_mat(system.rank)
-    mats = [e]
-    invs = [e.copy()]
-    seen = {e.tobytes()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for g in system.generators:
-                mat = ring_matmul(mats[idx], g)
-                k = mat.tobytes()
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(len(mats))
-                    mats.append(mat)
-                    invs.append(ring_matmul(g, invs[idx]))
-        frontier = nxt
-    return mats, invs
+    breadth-first search on right multiplication by generators, one layer at
+    a time.  Element w is mats[w], a (2, n, n) matrix, in BFS order."""
+    n = system.rank
+    e = _identity_mat(n)[:, None]
+    gens = np.stack(system.generators, axis=1)[:, None]  # (2, 1, rank, n, n)
+    mats, invs = [e], [e]
+    seen = set(_keys(e))
+    frontier, frontier_inv = e, e
+    while frontier.shape[1]:
+        # u * g for every frontier element u and generator g, and inv(u * g) = g * inv(u)
+        prod = ring_matmul(frontier[:, :, None], gens).reshape(2, -1, n, n)
+        prod_inv = ring_matmul(gens, frontier_inv[:, :, None]).reshape(2, -1, n, n)
+        new = []
+        for k, key in enumerate(_keys(prod)):
+            if key not in seen:
+                seen.add(key)
+                new.append(k)
+        frontier, frontier_inv = prod[:, new], prod_inv[:, new]
+        mats.append(frontier)
+        invs.append(frontier_inv)
+    return tuple(
+        np.ascontiguousarray(np.moveaxis(np.concatenate(layers, axis=1), 1, 0))
+        for layers in (mats, invs)
+    )
 
 
-# Largest group the oracle expands in memory.
-BFS_THRESHOLD = 10**7
+# Largest group order the oracle expands in memory.  H4 (14,400) is under it;
+# B6 (46,080) and E6 (51,840) are not.
+ORACLE_LIMIT = 20_000
 
 
 class GroupTable:
-    """Fully expanded small group: index maps, generator permutations, and
-    ascent bitmasks.  Backs the oracle operations."""
+    """Fully expanded small group: generator permutations of the element
+    indices, and ascent bitmasks.  Backs the oracle operations."""
 
-    def __init__(self, system: CoxeterSystem, threshold: int = BFS_THRESHOLD):
-        if system.order > threshold:
+    def __init__(self, system: CoxeterSystem):
+        if system.order > ORACLE_LIMIT:
             raise EnumerationLimit(
-                f"group order {system.order} exceeds oracle threshold {threshold}"
+                f"oracle method limited to groups of order <= {ORACLE_LIMIT} "
+                f"(|W| = {system.order})"
             )
         self.system = system
         mats, invs = _matrix_elements(system)
         self.size = len(mats)
-        index = {m.tobytes(): i for i, m in enumerate(mats)}
+        stack = np.moveaxis(mats, 0, 1)
+        index = {key: w for w, key in enumerate(_keys(stack))}
+
+        def lookup(prod: np.ndarray) -> np.ndarray:
+            return np.array([index[key] for key in _keys(prod)], dtype=np.intp)
+
+        # left_perm[i - 1][w] is the index of s_i * w, right_perm[i - 1][w] of w * s_i
+        self.left_perm = [lookup(ring_matmul(g, stack)) for g in system.generators]
+        self.right_perm = [lookup(ring_matmul(stack, g)) for g in system.generators]
         n = system.rank
-        self.left_perm = []
-        self.right_perm = []
-        for i in range(n):
-            g = system.generators[i]
-            self.left_perm.append(
-                [index[ring_matmul(g, m).tobytes()] for m in mats]
-            )
-            self.right_perm.append(
-                [index[ring_matmul(m, g).tobytes()] for m in mats]
-            )
-        arr = np.stack(mats)
-        inv = np.stack(invs)
-        right_cols = nonneg_grid(arr[:, 0], arr[:, 1]).all(axis=1)
-        left_cols = nonneg_grid(inv[:, 0], inv[:, 1]).all(axis=1)
+        right_cols = nonneg_grid(mats[:, 0], mats[:, 1]).all(axis=1)
+        left_cols = nonneg_grid(invs[:, 0], invs[:, 1]).all(axis=1)
         self.right_masks = [
             frozenset(j + 1 for j in range(n) if right_cols[w, j])
             for w in range(self.size)
@@ -321,21 +306,31 @@ def group_table(system: CoxeterSystem) -> GroupTable:
     return _TABLE_CACHE[key]
 
 
+def orbit_count(size: int, perms: list[np.ndarray]) -> int:
+    """Number of orbits of the group generated by involutions `perms` of
+    range(size).  Min-label propagation with pointer jumping (Shiloach and
+    Vishkin, J. Algorithms 3, 1982): lab[w] always lies in the orbit of w and
+    only falls, and at the fixed point it is constant along every edge, hence
+    on every orbit, so each orbit keeps exactly one fixed point lab[w] = w."""
+    lab = np.arange(size)
+    while True:
+        new = lab
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return int(np.count_nonzero(lab == np.arange(size)))
+        lab = new
+
+
 def double_coset_count(
     system: CoxeterSystem, left: Iterable[int], right: Iterable[int]
 ) -> int:
-    """Number of double cosets, by union-find over the whole group."""
+    """|W_I \\ W / W_J|: the orbits of the element indices under left
+    multiplication by s_i (i in I) and right multiplication by s_j (j in J)."""
     table = group_table(system)
-    uf = _UnionFind(table.size)
-    for i in left:
-        perm = table.left_perm[i - 1]
-        for w in range(table.size):
-            uf.union(w, perm[w])
-    for j in right:
-        perm = table.right_perm[j - 1]
-        for w in range(table.size):
-            uf.union(w, perm[w])
-    return uf.class_count()
+    perms = [table.left_perm[i - 1] for i in left] + [table.right_perm[j - 1] for j in right]
+    return orbit_count(table.size, perms)
 
 
 def metamatrix_bruteforce(system: CoxeterSystem) -> Metamatrix:

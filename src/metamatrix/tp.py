@@ -178,7 +178,8 @@ def gauss_decomposition_typeb(n: int) -> tuple[Matrix, Matrix, DecompositionRepo
     """
     if n < 1:
         raise ValueError("n must be positive")
-    q = Matrix.from_rows(inverse_pascal_times(vandermonde_half_nodes(n).to_rows()))
+    rows = inverse_pascal_times(vandermonde_half_nodes(n).to_rows())
+    q = Matrix.from_rows(rows)
     diag = _half_node_diagonal(n)
     d = Matrix.from_rows(
         [[diag[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
@@ -186,7 +187,13 @@ def gauss_decomposition_typeb(n: int) -> tuple[Matrix, Matrix, DecompositionRepo
 
     upper = q.is_upper_triangular()
     positive = all(x > 0 for x in diag)
-    reconstructs = q * d * q.transpose() == Matrix.from_rows(scm_table(n))
+    # with Q upper triangular, (Q D Q^t)_ij = sum over k >= max(i, j) of Q_ik D_kk Q_jk
+    table = scm_table(n)
+    reconstructs = all(
+        sum(rows[i][k] * diag[k] * rows[j][k] for k in range(max(i, j), n + 1)) == table[i][j]
+        for i in range(n + 1)
+        for j in range(n + 1)
+    )
     report = DecompositionReport(
         upper_triangular=upper,
         diagonal=diag,

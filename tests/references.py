@@ -1,6 +1,7 @@
 """Slow, definitional references that the tests compare the closed forms of
-`metamatrix.typeb`, `metamatrix.exactlinear` and `metamatrix.tp` against.
-Nothing in the package calls these."""
+`metamatrix.typeb`, `metamatrix.exactlinear` and `metamatrix.tp`, and the
+oracle's orbit labels in `metamatrix.engine`, against.  Nothing in the
+package calls these."""
 
 import math
 from fractions import Fraction
@@ -124,3 +125,23 @@ def verify_root_identity(n: int, k: int, x) -> bool:
     for j in range(n):
         rhs *= x + j
     return lhs == rhs
+
+
+def reference_orbit_count(size: int, perms) -> int:
+    """Orbits of the permutations `perms` (sequences) of range(size), by
+    breadth-first search from every point not yet reached."""
+    seen = [False] * size
+    orbits = 0
+    for start in range(size):
+        if seen[start]:
+            continue
+        orbits += 1
+        seen[start] = True
+        queue = [start]
+        for x in queue:  # visits the points appended below too
+            for perm in perms:
+                y = perm[x]
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    return orbits

@@ -98,6 +98,13 @@ class TestCompute:
         )
         assert res.exit_code == 3
 
+    def test_oracle_h4_golden(self, runner):
+        res = runner.invoke(
+            main, ["compute", "--family", "H", "--rank", "4", "--method", "oracle", "--format", "json"]
+        )
+        assert res.exit_code == 0
+        assert matrix_of(res.output) == golden.H4
+
 
 class TestCache:
     def args(self, cache):
@@ -259,6 +266,15 @@ class TestVerify:
         assert report["agree"] is True
         assert set(report["legs"]) == {"formula", "enumeration", "oracle"}
 
+    def test_h4_has_oracle_leg(self, runner, tmp_path):
+        res = runner.invoke(
+            main, ["verify", "--family", "H", "--rank", "4", "--cache-dir", str(tmp_path)]
+        )
+        assert res.exit_code == 0
+        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        assert report["legs"] == ["enumeration", "oracle"]
+        assert report["agree"] is True
+
 
 class TestNtableCommand:
     def test_b3_payload(self, runner, tmp_path):
@@ -418,6 +434,41 @@ class TestTypeBArgsFuzz:
     )
     def test_compute_formula(self, runner, family, rank, m):
         args = ["compute", "--method", "formula", "--family", family]
+        args += [] if rank is None else ["--rank", rank]
+        args += [] if m is None else ["--m", m]
+        assert_documented_exit(runner.invoke(main, args))
+
+
+# The seven families in either case and tokens that name none of them; ranks
+# around the supported 1..8 and bond orders around the realizable 2..6.
+FAMILY_TOKENS = st.sampled_from(
+    ["A", "B", "D", "I2", "H", "F", "E", "a", "i2", "e", "C", "G", "I", "I3", "x", ""]
+)
+RANK_TOKENS = st.integers(-2, 9).map(str)
+M_TOKENS = st.integers(-1, 8).map(str)
+
+
+class TestGroupArgsFuzz:
+    @pytest.fixture(scope="class")
+    def cache(self, tmp_path_factory):
+        # one cache for the whole class, so each group is enumerated once
+        return str(tmp_path_factory.mktemp("fuzz-cache"))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compute", "--method", "enumerate"],
+            ["compute", "--method", "oracle"],
+            ["verify"],
+            ["ntable"],
+        ],
+        ids=["enumerate", "oracle", "verify", "ntable"],
+    )
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(family=FAMILY_TOKENS, rank=st.none() | RANK_TOKENS, m=st.none() | M_TOKENS)
+    def test_documented_exit(self, runner, cache, command, family, rank, m):
+        args = command + ["--family", family, "--workers", "1", "--cache-dir", cache]
         args += [] if rank is None else ["--rank", rank]
         args += [] if m is None else ["--m", m]
         assert_documented_exit(runner.invoke(main, args))

@@ -1,9 +1,13 @@
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from definitional import definitional_counts, minimal_reps_count
+from references import reference_orbit_count
 from metamatrix import engine
 from metamatrix.coxeter import EnumerationLimit, _group_order, build_system, tower_plan
 from metamatrix.engine import (
@@ -18,6 +22,7 @@ from metamatrix.engine import (
     metamatrix_from_ntable,
     metamatrix_invariant_failure,
     ntable_invariant_failure,
+    orbit_count,
     pool_size,
     usable_cpus,
 )
@@ -239,9 +244,53 @@ class TestOracle:
         # |W_I \ W| for I = {1} in B2 is 4
         assert double_coset_count(build_system("B", 2), (1,), ()) == 4
 
-    def test_threshold_enforced(self):
+    def test_limit_enforced_before_enumeration(self, monkeypatch):
+        def enumerate_elements(system):
+            raise AssertionError("enumerated a group over the oracle limit")
+
+        monkeypatch.setattr(engine, "_matrix_elements", enumerate_elements)
+        system = build_system("B", 6)
+        assert system.order > engine.ORACLE_LIMIT
         with pytest.raises(EnumerationLimit):
-            GroupTable(build_system("B", 3), threshold=10)
+            GroupTable(system)
+
+
+# Involutions of range(size) as random partial matchings: each perm pairs up
+# some disjoint points and fixes the rest.
+@st.composite
+def involution_sets(draw):
+    size = draw(st.integers(1, 64))
+    perms = []
+    for _ in range(draw(st.integers(0, 4))):
+        points = draw(st.permutations(range(size)))
+        pairs = draw(st.integers(0, size // 2))
+        perm = list(range(size))
+        for a, b in zip(points[: 2 * pairs : 2], points[1 : 2 * pairs : 2]):
+            perm[a], perm[b] = b, a
+        perms.append(perm)
+    return size, perms
+
+
+class TestOrbitCount:
+    @settings(max_examples=300, deadline=None)
+    @given(involution_sets())
+    def test_matches_bfs_reference(self, case):
+        size, perms = case
+        assert orbit_count(size, [np.array(p) for p in perms]) == reference_orbit_count(
+            size, perms
+        )
+
+    def test_path_is_one_orbit(self):
+        # the path 1 - 2 - ... - 63 - 0 as two matchings: the label 0 must
+        # travel the whole path to reach the local minimum 1
+        path = [*range(1, 64), 0]
+        perms = []
+        for start in (0, 1):
+            perm = np.arange(64)
+            for a, b in zip(path[start::2], path[start + 1 :: 2]):
+                perm[a], perm[b] = b, a
+            perms.append(perm)
+        assert orbit_count(64, perms) == 1
 
 
 class TestBruteforce:
@@ -264,3 +313,9 @@ class TestBruteforce:
     def test_i2_5_closed_form(self):
         got = metamatrix_bruteforce(build_system("I2", 2, m=5))
         assert [list(r) for r in got.entries] == golden.dihedral_metamatrix(5)
+
+    @pytest.mark.parametrize("family,rank", [("A", 6), ("D", 5)])
+    def test_equals_enumeration(self, family, rank):
+        assert metamatrix_bruteforce(build_system(family, rank)) == enumerated_metamatrix(
+            family, rank
+        )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from metamatrix import tp
 from metamatrix.exactlinear import Matrix, bareiss_det, conjugate_by_inverse_pascal
 from metamatrix.tp import (
     ALL_MINORS_SIZE_CAP,
@@ -126,6 +127,14 @@ class TestGaussDecomposition:
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             gauss_decomposition_typeb(0)
+
+    def test_wrong_diagonal_fails_reconstruction(self, monkeypatch):
+        right = tp._half_node_diagonal
+        monkeypatch.setattr(
+            tp, "_half_node_diagonal", lambda n: right(n)[:-1] + (right(n)[-1] + 1,)
+        )
+        with pytest.raises(AssertionError, match="reconstructs=False"):
+            gauss_decomposition_typeb(4)
 
 
 def fekete_by_bareiss(a: Matrix):
