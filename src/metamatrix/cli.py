@@ -14,16 +14,19 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import click
 
 from . import engine, tp, typeb
 from .coxeter import (
     _I2_MATRIX_M,
+    _RANKS,
     EnumerationLimit,
     UnsupportedSystem,
     _group_order,
     build_system,
+    system_label,
 )
 from .exactlinear import Matrix
 
@@ -52,10 +55,6 @@ def _cache_dir(option_value: str | None) -> Path:
     if env:
         return Path(env)
     return Path(DEFAULT_CACHE_DIR).expanduser()
-
-
-def _label(family: str, rank: int, m: int | None) -> str:
-    return f"{family}{rank}" if m is None else f"{family}m{m}"
 
 
 def _ntable_payload(family, rank, m, order, table: engine.NTable) -> dict:
@@ -98,22 +97,32 @@ def _read_cached(path: Path, system) -> engine.NTable | None:
     return table
 
 
-def _cached_ntable(
-    system, cache: Path, workers: int | None, progress=None
-) -> engine.NTable:
+def _cached_ntable(system, cache: Path, workers: int | None, allow_long: bool) -> engine.NTable:
     """The N-table of `system`, from the cache or computed with `workers`
-    processes (None: one per usable CPU) and then cached."""
-    family, rank, m = system.family, system.rank, system.m
-    path = cache / f"{_label(family, rank, m)}.ntable.json"
+    processes (None: one per usable CPU) and then cached.  Computing the E8
+    table is a long-running job: on a cache miss it needs `allow_long`, and
+    it reports progress on stderr."""
+    label = system_label(system.family, system.rank, system.m)
+    path = cache / f"{label}.ntable.json"
     if path.exists():
         table = _read_cached(path, system)
         if table is not None:
             return table
-    if workers is None:
-        workers = engine.usable_cpus()
+    progress = None
+    if label == "E8":
+        if not allow_long:
+            raise ResourceLimit(
+                "the E8 N-table is not cached and computing it is a long-running job; "
+                "run compute or ntable with --allow-long-running to compute and cache it"
+            )
+
+        def progress(done: int, total: int):
+            click.echo(f"{label}: top-level coset {done}/{total} done", err=True)
+
     table = engine.accumulate_ntable(system, workers=workers, progress=progress)
     try:
-        _write_atomic(path, json.dumps(_ntable_payload(family, rank, m, system.order, table)))
+        payload = _ntable_payload(system.family, system.rank, system.m, system.order, table)
+        _write_atomic(path, json.dumps(payload))
     except OSError as exc:
         click.echo(f"warning: N-table not cached: {exc}", err=True)
     return table
@@ -155,14 +164,10 @@ def _emit_matrix(entries, fmt: str, family=None, rank=None, m=None, pipeline=Non
             click.echo(" ".join(str(x).rjust(width) for x in row))
 
 
-def _parse_family(family: str) -> str:
-    fam = family.upper()
-    if fam not in {"A", "B", "D", "I2", "H", "F", "E"}:
-        raise click.UsageError(f"unknown family {family!r}")
-    return fam
-
 def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, int, int | None]:
-    fam = _parse_family(family)
+    fam = family.upper()
+    if fam not in _RANKS:
+        raise click.UsageError(f"unknown family {family!r}")
     if fam == "I2":
         if m is None:
             raise click.UsageError("family I2 requires --m")
@@ -176,44 +181,28 @@ def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, in
     return fam, rank, None
 
 
-def _progress_printer(label: str):
-    def progress(done: int, total: int):
-        click.echo(f"{label}: top-level coset {done}/{total} done", err=True)
-
-    return progress
-
-
-def _compute_metamatrix(
-    fam: str,
-    rank: int,
-    m: int | None,
-    method: str,
-    workers: int | None,
-    cache: Path,
-    allow_long: bool,
-) -> engine.Metamatrix:
-    if method == "formula":
-        if fam == "B":
-            return typeb.metamatrix_typeb(rank)
-        if fam == "I2":
-            return engine.metamatrix_from_ntable(
-                engine.dihedral_ntable(m), provenance="formula"
-            )
-        raise click.UsageError("--method formula is only available for families B and I2")
-    if method == "enumerate":
-        if fam == "I2" and m not in _I2_MATRIX_M:
-            raise click.UsageError(
-                f"I2({m}) has no exact matrix realization here; use --method formula"
-            )
-        if fam == "E" and rank == 8 and not allow_long:
-            raise ResourceLimit(
-                "E8 enumeration is a long-running job; re-run with --allow-long-running"
-            )
-        progress = _progress_printer(_label(fam, rank, m)) if fam == "E" and rank == 8 else None
-        table = _cached_ntable(build_system(fam, rank, m), cache, workers, progress)
-        return engine.metamatrix_from_ntable(table)
-    # oracle; its group table raises EnumerationLimit above engine.ORACLE_LIMIT
-    return engine.metamatrix_bruteforce(build_system(fam, rank, m))
+def _legs(
+    fam: str, rank: int, m: int | None, workers: int | None, cache: Path, allow_long: bool
+) -> dict[str, Callable[[], engine.Metamatrix]]:
+    """The pipelines that apply to the system, each a zero-argument callable
+    that computes its metamatrix: `formula` for B and I2, `enumeration` (from
+    the cached N-table) and `oracle` where the system has a matrix
+    realization.  An unsupported rank surfaces as UnsupportedSystem when a
+    matrix leg builds the system."""
+    legs = {}
+    if fam == "B":
+        legs["formula"] = lambda: typeb.metamatrix_typeb(rank)
+    elif fam == "I2":
+        legs["formula"] = lambda: engine.metamatrix_from_ntable(
+            engine.dihedral_ntable(m), provenance="formula"
+        )
+    if fam != "I2" or m in _I2_MATRIX_M:
+        legs["enumeration"] = lambda: engine.metamatrix_from_ntable(
+            _cached_ntable(build_system(fam, rank, m), cache, workers, allow_long)
+        )
+        # its group table raises EnumerationLimit above engine.ORACLE_LIMIT
+        legs["oracle"] = lambda: engine.metamatrix_bruteforce(build_system(fam, rank, m))
+    return legs
 
 
 def _check_invariants(result: engine.Metamatrix, fam: str, rank: int, m: int | None) -> None:
@@ -221,18 +210,23 @@ def _check_invariants(result: engine.Metamatrix, fam: str, rank: int, m: int | N
     fails the metamatrix invariants of the group it claims to describe."""
     failure = engine.metamatrix_invariant_failure(result, _group_order(fam, rank, m))
     if failure is not None:
-        raise AssertionError(f"{_label(fam, rank, m)} {result.provenance}: {failure}")
+        raise AssertionError(f"{system_label(fam, rank, m)} {result.provenance}: {failure}")
 
 
 class _Main(click.Group):
-    """The command group; an exception that no command handles exits with
-    code 4 and a one-line message instead of a traceback and code 1."""
+    """The command group; it maps an unsupported system to exit 2 and an
+    enumeration limit to exit 3, and any other exception that no command
+    handles to code 4 and a one-line message instead of a traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except UnsupportedSystem as exc:
+            raise click.UsageError(str(exc)) from exc
+        except EnumerationLimit as exc:
+            raise ResourceLimit(str(exc)) from exc
         except Exception as exc:
             detail = " ".join(str(exc).split())  # one line, whatever the message
             raise InternalError(f"internal error: {type(exc).__name__}: {detail}") from exc
@@ -244,7 +238,7 @@ def main():
 
 
 _common = [
-    click.option("--family", required=True, help="A, B, D, I2, H, F, or E"),
+    click.option("--family", required=True, help=", ".join(_RANKS)),
     click.option("--rank", type=int, default=None),
     click.option("--m", type=int, default=None, help="bond order for I2"),
     click.option(
@@ -263,11 +257,15 @@ def _with_common(cmd):
     return cmd
 
 
+# --method value -> the leg it names
+_METHODS = {"formula": "formula", "enumerate": "enumeration", "oracle": "oracle"}
+
+
 @main.command()
 @_with_common
 @click.option(
     "--method",
-    type=click.Choice(["formula", "enumerate", "oracle"]),
+    type=click.Choice(list(_METHODS)),
     default=None,
     help="pipeline (default: formula for B/I2, enumerate otherwise)",
 )
@@ -276,22 +274,17 @@ def _with_common(cmd):
 def compute(family, rank, m, workers, cache_dir, method, fmt, allow_long_running):
     """Compute the metamatrix of a Coxeter group."""
     fam, rank, m = _resolve_spec(family, rank, m)
+    legs = _legs(fam, rank, m, workers, _cache_dir(cache_dir), allow_long_running)
     if method is None:
-        method = "formula" if fam in ("B", "I2") else "enumerate"
-    try:
-        result = _compute_metamatrix(
-            fam,
-            rank,
-            m,
-            method,
-            workers,
-            _cache_dir(cache_dir),
-            allow_long_running,
+        method = "formula" if "formula" in legs else "enumerate"
+    leg = legs.get(_METHODS[method])
+    if leg is None:
+        applicable = " or ".join(name for name, leg_name in _METHODS.items() if leg_name in legs)
+        raise click.UsageError(
+            f"--method {method} does not apply to {system_label(fam, rank, m)}; "
+            f"use --method {applicable}"
         )
-    except UnsupportedSystem as exc:
-        raise click.UsageError(str(exc))
-    except EnumerationLimit as exc:
-        raise ResourceLimit(str(exc))
+    result = leg()
     _check_invariants(result, fam, rank, m)
     _emit_matrix(result.entries, fmt, fam, rank, m, result.provenance)
 
@@ -386,36 +379,19 @@ def check_tp(source, method):
 def verify(family, rank, m, workers, cache_dir):
     """Cross-check every applicable pipeline and report agreement."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    cache = _cache_dir(cache_dir)
-    legs: dict[str, engine.Metamatrix] = {}
-    try:
-        if fam == "B":
-            legs["formula"] = typeb.metamatrix_typeb(rank)
-        elif fam == "I2":
-            legs["formula"] = engine.metamatrix_from_ntable(
-                engine.dihedral_ntable(m), provenance="formula"
-            )
-        if fam != "I2" or m in _I2_MATRIX_M:
-            if fam == "E" and rank == 8:
-                raise ResourceLimit("E8 verification requires --allow-long-running compute runs")
-            system = build_system(fam, rank, m)
-            table = _cached_ntable(system, cache, workers)
-            legs["enumeration"] = engine.metamatrix_from_ntable(table)
-            if system.order <= engine.ORACLE_LIMIT:
-                legs["oracle"] = engine.metamatrix_bruteforce(system)
-    except UnsupportedSystem as exc:
-        raise click.UsageError(str(exc))
-    if not legs:
-        raise click.UsageError("no applicable pipeline for this system")
-    for leg in legs.values():
-        _check_invariants(leg, fam, rank, m)
+    legs = _legs(fam, rank, m, workers, _cache_dir(cache_dir), allow_long=False)
+    if _group_order(fam, rank, m) > engine.ORACLE_LIMIT:
+        legs.pop("oracle", None)
+    results = {name: leg() for name, leg in sorted(legs.items())}
+    for result in results.values():
+        _check_invariants(result, fam, rank, m)
 
-    names = sorted(legs)
+    names = list(results)
     reference_name = names[0]
-    reference = legs[reference_name]
+    reference = results[reference_name]
     first_diff = None
     for name in names[1:]:
-        other = legs[name]
+        other = results[name]
         for p, row in enumerate(reference.entries):
             for q, value in enumerate(row):
                 if other.entries[p][q] != value and first_diff is None:
@@ -434,9 +410,9 @@ def verify(family, rank, m, workers, cache_dir):
     }
     click.echo(json.dumps(report, indent=2))
     if first_diff is None:
-        click.echo(f"{_label(fam, rank, m)}: {' = '.join(names)} (all legs agree)")
+        click.echo(f"{system_label(fam, rank, m)}: {' = '.join(names)} (all legs agree)")
     else:
-        click.echo(f"{_label(fam, rank, m)}: pipelines disagree at {first_diff['entry']}")
+        click.echo(f"{system_label(fam, rank, m)}: pipelines disagree at {first_diff['entry']}")
         raise NegativeResult("pipelines disagree")
 
 
@@ -447,21 +423,12 @@ def verify(family, rank, m, workers, cache_dir):
 def ntable(family, rank, m, workers, cache_dir, fmt, allow_long_running):
     """Compute (and cache) the two-sided ascent-count table."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    if fam == "I2" and m not in _I2_MATRIX_M:
-        table = engine.dihedral_ntable(m)
-        order = 2 * m
+    order = _group_order(fam, rank, m)
+    cache = _cache_dir(cache_dir)
+    if "enumeration" in _legs(fam, rank, m, workers, cache, allow_long_running):
+        table = _cached_ntable(build_system(fam, rank, m), cache, workers, allow_long_running)
     else:
-        if fam == "E" and rank == 8 and not allow_long_running:
-            raise ResourceLimit(
-                "E8 enumeration is a long-running job; re-run with --allow-long-running"
-            )
-        try:
-            system = build_system(fam, rank, m)
-        except UnsupportedSystem as exc:
-            raise click.UsageError(str(exc))
-        progress = _progress_printer(_label(fam, rank, m)) if fam == "E" and rank == 8 else None
-        table = _cached_ntable(system, _cache_dir(cache_dir), workers, progress)
-        order = system.order
+        table = engine.dihedral_ntable(m)
     if fmt == "json":
         click.echo(json.dumps(_ntable_payload(fam, rank, m, order, table), indent=2))
     else:

@@ -37,6 +37,22 @@ _CHAIN_ORDERS = {
 # m in {2,3,4,6}, Z[phi] for m=5 (2*cos(pi/5) = phi).
 _I2_MATRIX_M = {2, 3, 4, 5, 6}
 
+# The exceptional families exist only at these ranks, with these orders.
+_EXCEPTIONAL_ORDERS = {
+    "H": {3: 120, 4: 14400},
+    "F": {4: 1152},
+    "E": {6: 51840, 7: 2903040, 8: 696729600},
+}
+
+# The catalog: the ranks `build_system` supports in each family.
+_RANKS = {
+    "A": range(1, 9),
+    "B": range(1, 9),
+    "D": range(4, 9),
+    "I2": (2,),
+    **_EXCEPTIONAL_ORDERS,
+}
+
 
 class UnsupportedSystem(ValueError):
     pass
@@ -84,13 +100,10 @@ def _group_order(family: str, rank: int, m: int | None) -> int:
         return 2 ** (rank - 1) * math.factorial(rank)
     if family == "I2":
         return 2 * m
-    if family == "H":
-        return {3: 120, 4: 14400}[rank]
-    if family == "F":
-        return 1152
-    if family == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[rank]
-    raise UnsupportedSystem(f"unknown family {family!r}")
+    orders = _EXCEPTIONAL_ORDERS.get(family, {})
+    if rank not in orders:
+        raise _unsupported(family, rank, m)
+    return orders[rank]
 
 
 # Cartan pairs (c_ij, c_ji) per bond order, as (plain, phi) coefficients.
@@ -114,36 +127,25 @@ class CoxeterSystem:
     order: int
     generators: tuple[np.ndarray, ...] = field(repr=False)  # matrices of s_i
 
-    def label(self) -> str:
-        if self.family == "I2":
-            return f"I2({self.m})"
-        return f"{self.family}{self.rank}"
+
+def system_label(family: str, rank: int, m: int | None) -> str:
+    """The name of a system in messages and cache file names: B3, I2m5."""
+    return f"{family}{rank}" if m is None else f"{family}m{m}"
 
 
-def supported_systems() -> str:
-    return (
-        "A1-A8, B1-B8, D4-D8, I2(m) for m in {2,3,4,5,6}, "
+def _unsupported(family: str, rank: int, m: int | None) -> UnsupportedSystem:
+    return UnsupportedSystem(
+        f"unsupported Coxeter system family={family!r} rank={rank} m={m}; "
+        "supported: A1-A8, B1-B8, D4-D8, I2(m) for m in {2,3,4,5,6}, "
         "H3, H4, F4, E6, E7, E8"
     )
 
 
 def build_system(family: str, rank: int, m: int | None = None) -> CoxeterSystem:
     """Construct a finite Coxeter system from the catalog."""
-    family = family.upper() if family.lower() != "i2" else "I2"
-    ok = (
-        (family == "A" and 1 <= rank <= 8)
-        or (family == "B" and 1 <= rank <= 8)
-        or (family == "D" and 4 <= rank <= 8)
-        or (family == "I2" and rank == 2 and m is not None and m in _I2_MATRIX_M)
-        or (family == "H" and rank in (3, 4))
-        or (family == "F" and rank == 4)
-        or (family == "E" and rank in (6, 7, 8))
-    )
-    if not ok:
-        raise UnsupportedSystem(
-            f"unsupported Coxeter system family={family!r} rank={rank} m={m}; "
-            f"supported: {supported_systems()}"
-        )
+    family = family.upper()
+    if rank not in _RANKS.get(family, ()) or (family == "I2" and m not in _I2_MATRIX_M):
+        raise _unsupported(family, rank, m)
     if family != "I2":
         m = None
     edges = _edges(family, rank, m)

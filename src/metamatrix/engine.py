@@ -26,6 +26,7 @@ from .coxeter import (
     _identity_mat,
     leaf_prefixes,
     ring_matmul,
+    system_label,
     tower_plan,
 )
 from .exactlinear import gen_binom
@@ -192,14 +193,16 @@ def _coset_worker(top: int) -> bytes:
 
 def accumulate_ntable(
     system: CoxeterSystem,
-    workers: int = 1,
+    workers: int | None = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> NTable:
-    """Exact N-table; deterministic for any worker count.  `progress` is
-    called after each finished top-level coset."""
+    """Exact N-table from `workers` processes (None: one per usable CPU);
+    deterministic for any worker count.  `progress` is called after each
+    finished top-level coset."""
     plan = tower_plan(system)
     top = plan.top_size()
-    procs = pool_size(workers, top, usable_cpus())
+    cpus = usable_cpus()
+    procs = pool_size(cpus if workers is None else workers, top, cpus)
     if procs == 1:
         counts = _tower_counts(plan, progress=progress)
     else:
@@ -218,7 +221,8 @@ def accumulate_ntable(
     )
     failure = ntable_invariant_failure(table, system.order)
     if failure is not None:
-        raise AssertionError(f"{system.label()}: {failure}")
+        label = system_label(system.family, system.rank, system.m)
+        raise AssertionError(f"{label}: {failure}")
     return table
 
 

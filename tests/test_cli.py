@@ -47,6 +47,21 @@ class TestCompute:
             main, ["compute", "--family", "H", "--rank", "3", "--method", "formula"]
         )
         assert res.exit_code == 2
+        assert (
+            "--method formula does not apply to H3; use --method enumerate or oracle"
+            in res.stderr
+        )
+
+    @pytest.mark.parametrize("method", ["enumerate", "oracle"])
+    def test_matrix_methods_unavailable_for_i2_7(self, runner, tmp_path, method):
+        res = runner.invoke(
+            main,
+            ["compute", "--family", "I2", "--m", "7", "--method", method,
+             "--cache-dir", str(tmp_path)],
+        )
+        assert res.exit_code == 2
+        assert f"--method {method} does not apply to I2m7; use --method formula" in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_enumerate_json(self, runner, tmp_path):
         res = runner.invoke(
@@ -273,6 +288,94 @@ class TestVerify:
         assert res.exit_code == 0
         report = json.loads(res.output[: res.output.rindex("}") + 1])
         assert report["legs"] == ["enumeration", "oracle"]
+        assert report["agree"] is True
+
+
+    def test_i2_7_formula_only(self, runner, tmp_path):
+        res = runner.invoke(
+            main, ["verify", "--family", "I2", "--m", "7", "--cache-dir", str(tmp_path)]
+        )
+        assert res.exit_code == 0
+        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        assert report["legs"] == ["formula"]
+        assert report["agree"] is True
+        assert "I2m7: formula (all legs agree)" in res.output
+
+    @pytest.mark.parametrize("command", ["verify", "ntable"])
+    def test_unsupported_rank_lists_catalog(self, runner, tmp_path, command):
+        res = runner.invoke(
+            main, [command, "--family", "H", "--rank", "5", "--cache-dir", str(tmp_path)]
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.stderr.splitlines() == [
+            "Error: unsupported Coxeter system family='H' rank=5 m=None; supported: "
+            "A1-A8, B1-B8, D4-D8, I2(m) for m in {2,3,4,5,6}, H3, H4, F4, E6, E7, E8"
+        ]
+
+
+E8_ORDER = 696729600
+
+
+class TestE8Rule:
+    """Computing the E8 N-table needs --allow-long-running; a cached one is
+    served without it."""
+
+    # not the E8 table, but it has the N-table invariants of a group of order |E8|
+    FAKE = NTable(
+        n=8,
+        counts=tuple(
+            tuple({(0, 0): 1, (4, 4): E8_ORDER - 2, (8, 8): 1}.get((i, j), 0) for j in range(9))
+            for i in range(9)
+        ),
+    )
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the E8 N-table must not be computed here")
+
+        monkeypatch.setattr(engine, "accumulate_ntable", refuse)
+
+    def write_fake(self, cache):
+        payload = cli._ntable_payload("E", 8, None, E8_ORDER, self.FAKE)
+        (cache / "E8.ntable.json").write_text(json.dumps(payload))
+
+    def test_empty_cache_refused_by_every_command(self, runner, tmp_path):
+        errors = []
+        for command in ["compute", "ntable", "verify"]:
+            res = runner.invoke(
+                main, [command, "--family", "E", "--rank", "8", "--cache-dir", str(tmp_path)]
+            )
+            assert res.exit_code == 3, (command, res.output)
+            assert res.stdout == ""
+            errors.append(res.stderr)
+            assert list(tmp_path.iterdir()) == []
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].startswith("Error: the E8 N-table is not cached")
+        assert "--allow-long-running" in errors[0]
+
+    def test_cached_table_served_without_flag(self, runner, tmp_path):
+        self.write_fake(tmp_path)
+        res = runner.invoke(
+            main,
+            ["compute", "--family", "E", "--rank", "8", "--format", "json",
+             "--cache-dir", str(tmp_path)],
+        )
+        assert res.exit_code == 0
+        assert matrix_of(res.stdout) == [
+            list(r) for r in engine.metamatrix_from_ntable(self.FAKE).entries
+        ]
+
+    def test_verify_runs_enumeration_from_cache(self, runner, tmp_path):
+        self.write_fake(tmp_path)
+        res = runner.invoke(
+            main, ["verify", "--family", "E", "--rank", "8", "--cache-dir", str(tmp_path)]
+        )
+        assert res.exit_code == 0
+        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        assert report["legs"] == ["enumeration"]
         assert report["agree"] is True
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from metamatrix.coxeter import (
     UnsupportedSystem,
+    _group_order,
     _identity_mat,
     build_system,
     leaf_prefixes,
@@ -84,6 +85,15 @@ class TestBuildSystem:
             build_system("E", 5)
         with pytest.raises(UnsupportedSystem):
             build_system("I2", 2, m=7)
+
+    @pytest.mark.parametrize("family,rank", [("H", 5), ("F", 3), ("E", 5), ("Z", 3)])
+    def test_unknown_rank_has_no_order(self, family, rank):
+        with pytest.raises(UnsupportedSystem, match="supported: A1-A8"):
+            _group_order(family, rank, None)
+
+    def test_family_is_case_insensitive(self):
+        assert build_system("i2", 2, m=5).family == "I2"
+        assert build_system("e", 6).order == 51840
 
     @pytest.mark.parametrize("family,rank,m", ALL_SYSTEMS)
     def test_coxeter_relations(self, family, rank, m):

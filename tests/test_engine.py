@@ -137,6 +137,21 @@ class TestTower:
         assert calls == [(done, top) for done in range(1, top + 1)]
         assert table == accumulate_ntable(system, workers=1)
 
+    def test_default_workers_one_per_cpu(self, monkeypatch):
+        system = build_system("B", 4)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "tower_plan", lambda s: tower_plan(s, tail_cap=8))
+        requested = []
+        real_pool_size = engine.pool_size
+
+        def recording_pool_size(workers, *rest):
+            requested.append(workers)
+            return real_pool_size(workers, *rest)
+
+        monkeypatch.setattr(engine, "pool_size", recording_pool_size)
+        assert accumulate_ntable(system, workers=None) == accumulate_ntable(system, workers=1)
+        assert requested == [2, 1]
+
     def test_workers_deterministic(self):
         system = build_system("B", 6)
         serial = accumulate_ntable(system, workers=1)
