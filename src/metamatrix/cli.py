@@ -4,6 +4,10 @@ Exit codes: 0 success / totally positive, 1 verified negative result,
 2 usage or parse error, 3 resource limit, 4 internal error (an unexpected
 exception, reported in one line).  All big integers are emitted as
 decimal strings so output is lossless at any magnitude.
+
+numpy is imported only by the code that enumerates, runs the oracle or uses
+the N-table cache (`engine`, `coxeter`), so `check-tp` and the closed
+formulas start without it.
 """
 
 from __future__ import annotations
@@ -18,17 +22,23 @@ from typing import Callable
 
 import click
 
-from . import engine, tp, typeb
-from .coxeter import (
+from . import tp, typeb
+from .exactlinear import Matrix
+from .tables import (
     _I2_MATRIX_M,
     _RANKS,
     EnumerationLimit,
+    Metamatrix,
+    NTable,
     UnsupportedSystem,
     _group_order,
-    build_system,
+    check_catalog,
+    dihedral_ntable,
+    metamatrix_from_ntable,
+    metamatrix_invariant_failure,
+    ntable_invariant_failure,
     system_label,
 )
-from .exactlinear import Matrix
 
 DEFAULT_CACHE_DIR = "~/.metamatrix-cache"
 
@@ -57,7 +67,16 @@ def _cache_dir(option_value: str | None) -> Path:
     return Path(DEFAULT_CACHE_DIR).expanduser()
 
 
-def _ntable_payload(family, rank, m, order, table: engine.NTable) -> dict:
+def build_system(family: str, rank: int, m: int | None = None):
+    """`coxeter.build_system`, imported on first use (coxeter needs numpy)."""
+    from .coxeter import build_system
+
+    return build_system(family, rank, m)
+
+
+def _ntable_payload(family, rank, m, order, table: NTable) -> dict:
+    from . import engine
+
     payload = {
         "family": family,
         "rank": rank,
@@ -76,10 +95,12 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _read_cached(path: Path, system) -> engine.NTable | None:
+def _read_cached(path: Path, system) -> NTable | None:
     """The cached N-table at `path`, or None when the entry is missing,
     unreadable, corrupt, written by another engine version, or fails the
     N-table invariants for `system`."""
+    from . import engine
+
     try:
         payload = json.loads(path.read_text())
         if not (
@@ -91,17 +112,19 @@ def _read_cached(path: Path, system) -> engine.NTable | None:
         counts = tuple(tuple(int(x) for x in row) for row in payload["ntable"])
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    table = engine.NTable(n=system.rank, counts=counts)
-    if engine.ntable_invariant_failure(table, system.order) is not None:
+    table = NTable(n=system.rank, counts=counts)
+    if ntable_invariant_failure(table, system.order) is not None:
         return None
     return table
 
 
-def _cached_ntable(system, cache: Path, workers: int | None, allow_long: bool) -> engine.NTable:
+def _cached_ntable(system, cache: Path, workers: int | None, allow_long: bool) -> NTable:
     """The N-table of `system`, from the cache or computed with `workers`
     processes (None: one per usable CPU) and then cached.  Computing the E8
     table is a long-running job: on a cache miss it needs `allow_long`, and
     it reports progress on stderr."""
+    from . import engine
+
     label = system_label(system.family, system.rank, system.m)
     path = cache / f"{label}.ntable.json"
     if path.exists():
@@ -181,34 +204,48 @@ def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, in
     return fam, rank, None
 
 
+def _enumeration(system, cache: Path, workers: int | None, allow_long: bool) -> Metamatrix:
+    from . import engine
+
+    # engine's name for the transform is the one perfbench/tracing.py times
+    return engine.metamatrix_from_ntable(_cached_ntable(system, cache, workers, allow_long))
+
+
+def _oracle(system) -> Metamatrix:
+    from . import engine
+
+    # its group table raises EnumerationLimit above engine.ORACLE_LIMIT
+    return engine.metamatrix_bruteforce(system)
+
+
 def _legs(
     fam: str, rank: int, m: int | None, workers: int | None, cache: Path, allow_long: bool
-) -> dict[str, Callable[[], engine.Metamatrix]]:
+) -> dict[str, Callable[[], Metamatrix]]:
     """The pipelines that apply to the system, each a zero-argument callable
     that computes its metamatrix: `formula` for B and I2, `enumeration` (from
     the cached N-table) and `oracle` where the system has a matrix
-    realization.  An unsupported rank surfaces as UnsupportedSystem when a
-    matrix leg builds the system."""
+    realization.  A system with no formula must be in the catalog, or this
+    raises UnsupportedSystem; a B rank beyond the catalog surfaces as
+    UnsupportedSystem when a matrix leg builds the system."""
     legs = {}
     if fam == "B":
         legs["formula"] = lambda: typeb.metamatrix_typeb(rank)
     elif fam == "I2":
-        legs["formula"] = lambda: engine.metamatrix_from_ntable(
-            engine.dihedral_ntable(m), provenance="formula"
-        )
+        legs["formula"] = lambda: metamatrix_from_ntable(dihedral_ntable(m), provenance="formula")
+    else:
+        check_catalog(fam, rank, m)
     if fam != "I2" or m in _I2_MATRIX_M:
-        legs["enumeration"] = lambda: engine.metamatrix_from_ntable(
-            _cached_ntable(build_system(fam, rank, m), cache, workers, allow_long)
+        legs["enumeration"] = lambda: _enumeration(
+            build_system(fam, rank, m), cache, workers, allow_long
         )
-        # its group table raises EnumerationLimit above engine.ORACLE_LIMIT
-        legs["oracle"] = lambda: engine.metamatrix_bruteforce(build_system(fam, rank, m))
+        legs["oracle"] = lambda: _oracle(build_system(fam, rank, m))
     return legs
 
 
-def _check_invariants(result: engine.Metamatrix, fam: str, rank: int, m: int | None) -> None:
+def _check_invariants(result: Metamatrix, fam: str, rank: int, m: int | None) -> None:
     """Raise AssertionError (exit 4: a defect, not a verdict) when `result`
     fails the metamatrix invariants of the group it claims to describe."""
-    failure = engine.metamatrix_invariant_failure(result, _group_order(fam, rank, m))
+    failure = metamatrix_invariant_failure(result, _group_order(fam, rank, m))
     if failure is not None:
         raise AssertionError(f"{system_label(fam, rank, m)} {result.provenance}: {failure}")
 
@@ -380,8 +417,11 @@ def verify(family, rank, m, workers, cache_dir):
     """Cross-check every applicable pipeline and report agreement."""
     fam, rank, m = _resolve_spec(family, rank, m)
     legs = _legs(fam, rank, m, workers, _cache_dir(cache_dir), allow_long=False)
-    if _group_order(fam, rank, m) > engine.ORACLE_LIMIT:
-        legs.pop("oracle", None)
+    if "oracle" in legs:
+        from . import engine
+
+        if _group_order(fam, rank, m) > engine.ORACLE_LIMIT:
+            del legs["oracle"]
     results = {name: leg() for name, leg in sorted(legs.items())}
     for result in results.values():
         _check_invariants(result, fam, rank, m)
@@ -428,7 +468,7 @@ def ntable(family, rank, m, workers, cache_dir, fmt, allow_long_running):
     if "enumeration" in _legs(fam, rank, m, workers, cache, allow_long_running):
         table = _cached_ntable(build_system(fam, rank, m), cache, workers, allow_long_running)
     else:
-        table = engine.dihedral_ntable(m)
+        table = dihedral_ntable(m)
     if fmt == "json":
         click.echo(json.dumps(_ntable_payload(fam, rank, m, order, table), indent=2))
     else:

@@ -14,12 +14,23 @@ oracle's own matrix enumeration (`engine.GroupTable`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .goldring import nonneg_grid
+from .tables import (  # the catalog, kept importable from here
+    _EXCEPTIONAL_ORDERS,
+    _I2_MATRIX_M,
+    _RANKS,
+    EnumerationLimit,
+    UnsupportedSystem,
+    _edges,
+    _group_order,
+    _unsupported,
+    check_catalog,
+    system_label,
+)
 
 TAIL_CAP = 4000
 
@@ -32,79 +43,6 @@ _CHAIN_ORDERS = {
     "F": lambda n: [1, 2, 3, 4],
     "E": lambda n: [1, 3, 4, 2, 5, 6, 7, 8][:n],
 }
-
-# Dihedral groups realizable with exact matrix entries: integers for
-# m in {2,3,4,6}, Z[phi] for m=5 (2*cos(pi/5) = phi).
-_I2_MATRIX_M = {2, 3, 4, 5, 6}
-
-# The exceptional families exist only at these ranks, with these orders.
-_EXCEPTIONAL_ORDERS = {
-    "H": {3: 120, 4: 14400},
-    "F": {4: 1152},
-    "E": {6: 51840, 7: 2903040, 8: 696729600},
-}
-
-# The catalog: the ranks `build_system` supports in each family.
-_RANKS = {
-    "A": range(1, 9),
-    "B": range(1, 9),
-    "D": range(4, 9),
-    "I2": (2,),
-    **_EXCEPTIONAL_ORDERS,
-}
-
-
-class UnsupportedSystem(ValueError):
-    pass
-
-
-class EnumerationLimit(RuntimeError):
-    pass
-
-
-def _edges(family: str, rank: int, m: int | None) -> dict[tuple[int, int], int]:
-    """Coxeter-diagram bond orders keyed by node pairs (1-based, i<j)."""
-    chain = {(i, i + 1): 3 for i in range(1, rank)}
-    if family == "A":
-        return chain
-    if family == "B":
-        if rank >= 2:
-            chain[(rank - 1, rank)] = 4
-        return chain
-    if family == "D":
-        chain.pop((rank - 1, rank))
-        chain[(rank - 2, rank)] = 3
-        return chain
-    if family == "I2":
-        return {(1, 2): m}
-    if family == "H":
-        chain[(1, 2)] = 5
-        return chain
-    if family == "F":
-        chain[(2, 3)] = 4
-        return chain
-    if family == "E":
-        edges = {(i, i + 1): 3 for i in range(3, rank)}
-        edges[(1, 3)] = 3
-        edges[(2, 4)] = 3
-        return edges
-    raise UnsupportedSystem(f"unknown family {family!r}")
-
-
-def _group_order(family: str, rank: int, m: int | None) -> int:
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family == "B":
-        return 2**rank * math.factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if family == "I2":
-        return 2 * m
-    orders = _EXCEPTIONAL_ORDERS.get(family, {})
-    if rank not in orders:
-        raise _unsupported(family, rank, m)
-    return orders[rank]
-
 
 # Cartan pairs (c_ij, c_ji) per bond order, as (plain, phi) coefficients.
 _BOND_CARTAN = {
@@ -128,24 +66,10 @@ class CoxeterSystem:
     generators: tuple[np.ndarray, ...] = field(repr=False)  # matrices of s_i
 
 
-def system_label(family: str, rank: int, m: int | None) -> str:
-    """The name of a system in messages and cache file names: B3, I2m5."""
-    return f"{family}{rank}" if m is None else f"{family}m{m}"
-
-
-def _unsupported(family: str, rank: int, m: int | None) -> UnsupportedSystem:
-    return UnsupportedSystem(
-        f"unsupported Coxeter system family={family!r} rank={rank} m={m}; "
-        "supported: A1-A8, B1-B8, D4-D8, I2(m) for m in {2,3,4,5,6}, "
-        "H3, H4, F4, E6, E7, E8"
-    )
-
-
 def build_system(family: str, rank: int, m: int | None = None) -> CoxeterSystem:
     """Construct a finite Coxeter system from the catalog."""
     family = family.upper()
-    if rank not in _RANKS.get(family, ()) or (family == "I2" and m not in _I2_MATRIX_M):
-        raise _unsupported(family, rank, m)
+    check_catalog(family, rank, m)
     if family != "I2":
         m = None
     edges = _edges(family, rank, m)

@@ -1,5 +1,6 @@
-"""Metamatrix pipelines: descent-statistics enumeration, the closed-form
-dihedral table, and the brute-force double-coset oracle.
+"""Metamatrix pipelines on numpy: descent-statistics enumeration and the
+brute-force double-coset oracle.  The result tables they return, the
+closed-form dihedral table and the invariant checks live in `tables`.
 
 The N-table counts elements by (#left ascents, #right ascents); the
 metamatrix is its binomial transform.  Every enumerable group, golden or
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -21,16 +21,23 @@ import numpy as np
 from . import _kernels
 from .coxeter import (
     CoxeterSystem,
-    EnumerationLimit,
     TowerPlan,
     _identity_mat,
     leaf_prefixes,
     ring_matmul,
-    system_label,
     tower_plan,
 )
-from .exactlinear import gen_binom
 from .goldring import nonneg_grid
+from .tables import (  # the result tables, kept importable from here
+    EnumerationLimit,
+    Metamatrix,
+    NTable,
+    dihedral_ntable,
+    metamatrix_from_ntable,
+    metamatrix_invariant_failure,
+    ntable_invariant_failure,
+    system_label,
+)
 
 # Recorded in every cached N-table; bump it when a change to the enumeration
 # could change a table, so entries written by older code are recomputed.
@@ -39,102 +46,6 @@ ENGINE_VERSION = 2
 # Upper bound on the products one leaf gather covers (its uint8 work arrays
 # and the bincount index array scale with it).
 GATHER_ELEMENTS = 1 << 18
-
-
-@dataclass(frozen=True)
-class NTable:
-    """Two-sided ascent statistics: counts[i][j] = #elements with i left and
-    j right ascents."""
-
-    n: int
-    counts: tuple[tuple[int, ...], ...]
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def is_symmetric(self) -> bool:
-        c, n = self.counts, self.n
-        return all(
-            c[i][j] == c[j][i] and c[i][j] == c[n - i][n - j]
-            for i in range(n + 1)
-            for j in range(n + 1)
-        )
-
-
-@dataclass(frozen=True)
-class Metamatrix:
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-    provenance: str
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Metamatrix) and self.entries == other.entries
-
-
-def dihedral_ntable(m: int) -> NTable:
-    """Closed-form N-table of the dihedral group of order 2m."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    counts = [[0, 0, 0], [0, 2 * m - 2, 0], [0, 0, 1]]
-    counts[0][0] = 1
-    return NTable(n=2, counts=tuple(tuple(r) for r in counts))
-
-
-def metamatrix_from_ntable(table: NTable, provenance: str = "enumeration") -> Metamatrix:
-    """M_pq = sum_ij C(i,p) C(j,q) N_ij."""
-    n = table.n
-    entries = []
-    for p in range(n + 1):
-        row = []
-        for q in range(n + 1):
-            row.append(
-                sum(
-                    gen_binom(i, p) * gen_binom(j, q) * table.counts[i][j]
-                    for i in range(n + 1)
-                    for j in range(n + 1)
-                )
-            )
-        entries.append(tuple(row))
-    return Metamatrix(n=n, entries=tuple(entries), provenance=provenance)
-
-
-def ntable_invariant_failure(table: NTable, order: int) -> str | None:
-    """Why `table` cannot be the N-table of a group of rank table.n and order
-    `order`, or None.  Checks the shape, nonnegative entries, the total |W|,
-    the symmetries c[i][j] = c[j][i] = c[n-i][n-j] and row n = (0, ..., 0, 1)
-    (only the identity has n left ascents).  M_00 is the sum of all entries
-    (every C(i, 0) is 1), so the total check is M_00 = |W|; row n of the
-    metamatrix is C(n, q) exactly when row n of the N-table is the identity's."""
-    n, c = table.n, table.counts
-    if len(c) != n + 1 or any(len(row) != n + 1 for row in c):
-        return f"N-table is not {n + 1}x{n + 1}"
-    if any(x < 0 for row in c for x in row):
-        return "N-table has a negative entry"
-    if table.total() != order:
-        return f"N-table total (M_00) is {table.total()}, expected |W| = {order}"
-    if not table.is_symmetric():
-        return "N-table lacks the symmetries c[i][j] = c[j][i] = c[n-i][n-j]"
-    if list(c[n]) != [0] * n + [1]:
-        return f"N-table row {n} is not the identity's (0, ..., 0, 1)"
-    return None
-
-
-def metamatrix_invariant_failure(m: Metamatrix, order: int) -> str | None:
-    """Why `m` cannot be the metamatrix of a group of rank m.n and order
-    `order`, or None.  Checks the shape, the symmetry M_pq = M_qp,
-    M_00 = |W| (with I and J empty every element is its own double coset)
-    and row n = C(n, q) (with I = S there is one double coset for each J).
-    None of these depends on the pipeline that produced `m`."""
-    n, e = m.n, m.entries
-    if len(e) != n + 1 or any(len(row) != n + 1 for row in e):
-        return f"metamatrix is not {n + 1}x{n + 1}"
-    if any(e[p][q] != e[q][p] for p in range(n + 1) for q in range(p)):
-        return "metamatrix is not symmetric"
-    if e[0][0] != order:
-        return f"M_00 is {e[0][0]}, expected |W| = {order}"
-    if list(e[n]) != [gen_binom(n, q) for q in range(n + 1)]:
-        return f"row {n} is not C({n}, q)"
-    return None
 
 
 def usable_cpus() -> int:

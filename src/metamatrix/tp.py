@@ -3,11 +3,13 @@ the type-B tables.
 
 A matrix is totally positive when every minor of every size is strictly
 positive.  Two certifiers are provided: the definitional all-minors scan,
-which evaluates each minor by Bareiss elimination, and the Fekete criterion
-(positivity of all minors on consecutive row and column windows implies
-strict total positivity), which gets those minors level by level by integer
-condensation.  Both work in exact integers on the rows scaled by the lcm of
-their denominators, and report a witness at its unscaled value.
+which gets the minors of each size from those one size down by Laplace
+expansion, and the Fekete criterion (positivity of all minors on consecutive
+row and column windows implies strict total positivity), which gets those
+minors level by level by integer condensation.  Both work in exact integers
+on the rows scaled by the lcm of their denominators, and report a witness at
+its unscaled value; the all-minors witness is re-evaluated by Bareiss
+elimination before it is reported.
 """
 
 from __future__ import annotations
@@ -60,9 +62,53 @@ def _integer_rows(a: Matrix) -> tuple[list[list[int]], list[int]]:
     return grid, scales
 
 
+def _all_minors(grid: list[list[int]]):
+    """Yield ``(rows, cols, det)`` for every minor of a square integer
+    matrix, in the order size, then rows, then cols, each lexicographic.
+
+    The minors of size k come from those of size k - 1 by Laplace expansion
+    along the first chosen row:
+    det(rows, cols) = sum_t (-1)^t grid[rows[0]][cols[t]]
+                      * det(rows[1:], cols without cols[t]).
+    Only two sizes are kept, each as a list of rows indexed by the rank of
+    the row combination, holding the minors indexed by the rank of the
+    column combination.
+    """
+    n = len(grid)
+    for i in range(n):
+        for j in range(n):
+            yield (i,), (j,), grid[i][j]
+    prev = grid
+    prev_rank = {(i,): i for i in range(n)}
+    for k in range(2, n + 1):
+        combos = list(combinations(range(n), k))
+        # per column combination, the terms (t, rank of cols without cols[t]);
+        # an odd t reads the negated half of the signed row below
+        terms = [
+            [(cols[t] + n * (t % 2), prev_rank[cols[:t] + cols[t + 1 :]]) for t in range(k)]
+            for cols in combos
+        ]
+        level = []
+        for rows in combos:
+            first = grid[rows[0]]
+            signed = first + [-x for x in first]
+            below = prev[prev_rank[rows[1:]]]
+            minors = []
+            for cols, expansion in zip(combos, terms):
+                value = 0
+                for j, s in expansion:
+                    value += signed[j] * below[s]
+                yield rows, cols, value
+                minors.append(value)
+            level.append(minors)
+        prev = level
+        prev_rank = {combo: r for r, combo in enumerate(combos)}
+
+
 def all_minors_positive(a: Matrix) -> TPCertificate:
-    """Definitional check: every minor of every size, lexicographic order,
-    each by Bareiss elimination on the integer-scaled rows."""
+    """Definitional check: every minor of every size, in lexicographic order,
+    on the integer-scaled rows.  The first minor <= 0 is evaluated again by
+    Bareiss elimination before it is reported."""
     if not a.is_square:
         raise ValueError("total positivity is defined for square matrices here")
     n = a.rows
@@ -72,15 +118,17 @@ def all_minors_positive(a: Matrix) -> TPCertificate:
         )
     grid, scales = _integer_rows(a)
     checked = 0
-    for k in range(1, n + 1):
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                checked += 1
-                value = _bareiss_int([[grid[i][j] for j in cols] for i in rows])
-                if value <= 0:
-                    scale = math.prod(scales[i] for i in rows)
-                    witness = MinorWitness(rows, cols, Fraction(value, scale))
-                    return TPCertificate("not-totally-positive", "all-minors", checked, witness)
+    for rows, cols, value in _all_minors(grid):
+        checked += 1
+        if value <= 0:
+            again = _bareiss_int([[grid[i][j] for j in cols] for i in rows])
+            if again != value:
+                raise AssertionError(
+                    f"minor {rows}x{cols} is {value} by expansion, {again} by Bareiss"
+                )
+            scale = math.prod(scales[i] for i in rows)
+            witness = MinorWitness(rows, cols, Fraction(value, scale))
+            return TPCertificate("not-totally-positive", "all-minors", checked, witness)
     return TPCertificate("totally-positive", "all-minors", checked, None)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .engine import Metamatrix
 from .exactlinear import conjugate_by_inverse_pascal
+from .tables import Metamatrix
 
 SCM_BRUTE_FORCE_CAP = 5
 

@@ -52,6 +52,18 @@ class TestCompute:
             in res.stderr
         )
 
+    @pytest.mark.parametrize("family,rank", [("H", "5"), ("A", "9")])
+    def test_formula_outside_catalog_lists_catalog(self, runner, family, rank):
+        # no other method applies either, so no --method hint
+        res = runner.invoke(
+            main, ["compute", "--family", family, "--rank", rank, "--method", "formula"]
+        )
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            f"Error: unsupported Coxeter system family='{family}' rank={rank} m=None; "
+            "supported: A1-A8, B1-B8, D4-D8, I2(m) for m in {2,3,4,5,6}, H3, H4, F4, E6, E7, E8"
+        ]
+
     @pytest.mark.parametrize("method", ["enumerate", "oracle"])
     def test_matrix_methods_unavailable_for_i2_7(self, runner, tmp_path, method):
         res = runner.invoke(

@@ -1,0 +1,148 @@
+"""The package surface: the lazy package root, start-up without numpy for
+the commands that need none, and the entry points that the benchmark's
+traced run wraps by name (`perfbench/tracing.py`)."""
+
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import metamatrix
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(metamatrix.__file__).resolve().parent.parent
+
+# the package root's exports: (name, the module that defines it)
+EXPORTS = [
+    ("CoxeterSystem", "coxeter"),
+    ("build_system", "coxeter"),
+    ("UnsupportedSystem", "tables"),
+    ("Metamatrix", "tables"),
+    ("NTable", "tables"),
+    ("dihedral_ntable", "tables"),
+    ("metamatrix_from_ntable", "tables"),
+    ("accumulate_ntable", "engine"),
+    ("double_coset_count", "engine"),
+    ("metamatrix_bruteforce", "engine"),
+    ("Matrix", "exactlinear"),
+    ("TPCertificate", "tp"),
+    ("all_minors_positive", "tp"),
+    ("fekete_check", "tp"),
+    ("gauss_decomposition_typeb", "tp"),
+    ("metamatrix_typeb", "typeb"),
+]
+
+
+def run_python(code: str, stdin: str = "") -> dict:
+    """Run `code` in a fresh interpreter on this source tree; it reports by
+    printing one JSON object as its last line on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+class TestLazyRoot:
+    def test_serves_every_export(self):
+        for name, module in EXPORTS:
+            defining = importlib.import_module(f"metamatrix.{module}")
+            assert getattr(metamatrix, name) is getattr(defining, name)
+        assert metamatrix.__version__ == "0.1.0"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            metamatrix.no_such_name
+        assert not hasattr(metamatrix, "ENGINE_VERSION")
+
+    def test_submodules_import_from_root(self):
+        from metamatrix import cli, engine
+
+        assert cli.main is not None
+        assert engine.NTable is metamatrix.NTable
+
+
+def numpy_after(statements: str, stdin: str = "") -> dict:
+    code = (
+        "import json, sys\n"
+        f"{statements}\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'code': code}), file=sys.stderr)\n"
+    )
+    return run_python(code, stdin)
+
+
+def cli_run(args: list[str]) -> str:
+    return (
+        "from metamatrix.cli import main\n"
+        "try:\n"
+        f"    main({args!r})\n"
+        "    code = 0\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+    )
+
+
+class TestStartWithoutNumpy:
+    def test_import_cli_and_tp(self):
+        assert numpy_after("import metamatrix.cli, metamatrix.tp\ncode = None") == {
+            "numpy": False, "code": None,
+        }
+
+    def test_check_tp(self):
+        got = numpy_after(cli_run(["check-tp", "-"]), stdin="[[2, 1], [1, 1]]")
+        assert got == {"numpy": False, "code": 0}
+
+    def test_compute_type_b(self):
+        got = numpy_after(cli_run(["compute", "--family", "B", "--rank", "8"]))
+        assert got == {"numpy": False, "code": 0}
+
+    def test_enumeration_imports_numpy(self, tmp_path):
+        args = ["compute", "--family", "A", "--rank", "2", "--method", "enumerate",
+                "--cache-dir", str(tmp_path)]
+        assert numpy_after(cli_run(args)) == {"numpy": True, "code": 0}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """perfbench/tracing.py, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass resolves annotations there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def resolves(module: str, attr: str) -> bool:
+    return callable(getattr(importlib.import_module(f"metamatrix.{module}"), attr, None))
+
+
+class TestTracedRunContract:
+    """The traced benchmark run wraps entry points by (module, attribute) and
+    silently drops a metric whose span has no target, so every span must
+    keep at least one callable target."""
+
+    def test_every_span_has_a_callable_target(self, tracing):
+        spans = {}
+        for module, attr, span, _ in tracing.TARGETS:
+            spans[span] = spans.get(span, False) or resolves(module, attr)
+        assert [span for span, found in spans.items() if not found] == []
+
+    def test_every_per_layer_metric_is_reported(self, tracing):
+        installed = {
+            span for module, attr, span, _ in tracing.TARGETS if resolves(module, attr)
+        }
+        reported = set(tracing.layer_metrics(tracing.Recorder(), installed))
+        reported.add("trace.overhead_s")  # run.py adds it from the two passes
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        assert reported == {metric["name"] for metric in spec["per_layer"]}

@@ -15,7 +15,7 @@ from metamatrix.tp import (
     fekete_check,
     gauss_decomposition_typeb,
 )
-from metamatrix.typeb import scm_table
+from metamatrix.typeb import metamatrix_typeb, scm_table
 from references import invert_lower_triangular, pascal_matrix
 
 
@@ -302,6 +302,32 @@ class TestAllMinorsMatchesBareiss:
 
     def test_singular_integer_matrix(self):
         self.check(Matrix.from_rows([[1, 2, 3], [2, 5, 8], [3, 8, 13]]))
+
+    def test_non_solid_first_witness(self):
+        # every 1x1 minor and every 2x2 minor on rows (0, 1) is positive
+        a = Matrix.from_rows([[1, 1, 1], [1, 2, 4], [1, 1, 9]])
+        self.check(a)
+        w = all_minors_positive(a).witness
+        assert (w.rows, w.cols, w.minor) == ((0, 2), (0, 1), 0)
+
+    def test_singular_level_below(self):
+        # rank 2 with every 2x2 minor (i2 - i1)(j2 - j1) > 0: each 3x3 minor
+        # is 0, so the scan stops at the first one, before any 4x4 minor
+        a = Matrix.from_rows([[1 + i * j for j in range(1, 5)] for i in range(1, 5)])
+        self.check(a)
+        cert = all_minors_positive(a)
+        assert cert.minors_checked == 16 + 36 + 1
+        assert (cert.witness.rows, cert.witness.cols) == ((0, 1, 2), (0, 1, 2))
+
+    def test_10x10_positive_table(self):
+        cert = all_minors_positive(Matrix.from_rows(metamatrix_typeb(9).entries))
+        assert cert.is_totally_positive
+        assert cert.minors_checked == math.comb(20, 10) - 1
+
+    def test_witness_is_checked_by_bareiss(self, monkeypatch):
+        monkeypatch.setattr(tp, "_bareiss_int", lambda grid: -1)
+        with pytest.raises(AssertionError, match="by Bareiss"):
+            all_minors_positive(Matrix.from_rows([[1, 2], [3, 4]]))
 
 
 class TestIntegerConjugation:
