@@ -23,7 +23,6 @@ _EXPORTS = {
     "accumulate_ntable": "engine",
     "double_coset_count": "engine",
     "metamatrix_bruteforce": "engine",
-    "Matrix": "exactlinear",
     "TPCertificate": "tp",
     "all_minors_positive": "tp",
     "fekete_check": "tp",

@@ -1,9 +1,12 @@
 """Command-line frontend: compute, check-tp, verify, ntable, scm-count.
 
 Exit codes: 0 success / totally positive, 1 verified negative result,
-2 usage or parse error, 3 resource limit, 4 internal error (an unexpected
-exception, reported in one line).  All big integers are emitted as
-decimal strings so output is lossless at any magnitude.
+2 usage or parse error, 3 resource limit (`engine.ORACLE_LIMIT`, or the E8
+N-table uncached without --allow-long-running), 4 internal error (an
+unexpected exception, reported in one line).  All big integers are read and
+emitted as decimal strings so output is lossless at any magnitude: the CLI
+lifts Python's int/str digit limit when it runs.  Matrices are lists of
+rows, and `scm-count` answers any n from the closed form.
 
 numpy is imported only by the code that enumerates, runs the oracle or uses
 the N-table cache (`engine`, `coxeter`), so `check-tp` and the closed
@@ -12,7 +15,6 @@ formulas start without it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -23,7 +25,6 @@ from typing import Callable
 import click
 
 from . import tp, typeb
-from .exactlinear import Matrix
 from .tables import (
     _I2_MATRIX_M,
     _RANKS,
@@ -90,6 +91,8 @@ def _ntable_payload(family, rank, m, order, table: NTable) -> dict:
 
 
 def _checksum(payload: dict) -> str:
+    import hashlib  # only the cache needs it; kept off start-up
+
     body = {k: v for k, v in payload.items() if k != "checksum"}
     canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -272,6 +275,11 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 def main():
     """Exact contingency metamatrices of finite Coxeter groups."""
+    # exact decimal input and output at any length: lift the 4,300-digit
+    # int/str limit (releases before 3.10.7 have neither the limit nor the setter)
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
 
 
 _common = [
@@ -333,7 +341,9 @@ def _parse_entry(token: str) -> Fraction:
         raise ValueError(f"zero denominator in {token!r}")
 
 
-def _parse_matrix_text(text: str) -> Matrix:
+def _parse_matrix_text(text: str) -> list[list[Fraction]]:
+    """The rows of a JSON or whitespace-grid matrix; raises ValueError on
+    input that is not a nonempty matrix with rows of one length."""
     if not text.strip():
         raise ValueError("empty matrix input")
     stripped = text.lstrip()
@@ -346,7 +356,10 @@ def _parse_matrix_text(text: str) -> Matrix:
             raise ValueError("the matrix must be a list of rows")
         if not grid:
             raise ValueError("the matrix has no rows")
-        return Matrix.from_rows([[_parse_entry(str(x)) for x in row] for row in grid])
+        rows = [[_parse_entry(str(x)) for x in row] for row in grid]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged rows")
+        return rows
     rows = []
     width = None
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -363,7 +376,7 @@ def _parse_matrix_text(text: str) -> Matrix:
         elif len(row) != width:
             raise ValueError(f"line {ln}: expected {width} entries, got {len(row)}")
         rows.append(row)
-    return Matrix.from_rows(rows)
+    return rows
 
 
 @main.command("check-tp")
@@ -378,16 +391,17 @@ def check_tp(source, method):
     try:
         text = sys.stdin.read() if source == "-" else Path(source).read_text()
         matrix = _parse_matrix_text(text)
-        if not matrix.is_square:
-            raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, not square")
+        size = len(matrix)
+        if len(matrix[0]) != size:
+            raise ValueError(f"matrix is {size}x{len(matrix[0])}, not square")
     except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting recurses
         raise click.UsageError(f"cannot read matrix: {exc}")
     if method == "auto":
-        method = "all-minors" if matrix.rows <= 9 else "fekete"
-    if method == "all-minors" and matrix.rows > tp.ALL_MINORS_SIZE_CAP:
+        method = "all-minors" if size <= 9 else "fekete"
+    if method == "all-minors" and size > tp.ALL_MINORS_SIZE_CAP:
         raise click.UsageError(
             f"--method all-minors is capped at size {tp.ALL_MINORS_SIZE_CAP} "
-            f"(matrix is {matrix.rows}x{matrix.rows}); use --method fekete"
+            f"(matrix is {size}x{size}); use --method fekete"
         )
     cert = (
         tp.all_minors_positive(matrix)
@@ -481,13 +495,10 @@ def ntable(family, rank, m, workers, cache_dir, fmt, allow_long_running):
 @click.argument("q", type=int)
 @click.option("--gscm", is_flag=True, help="count generalized matrices (closed form)")
 def scm_count_cmd(n, p, q, gscm):
-    """Count (generalized) signed contingency matrices at lengths (P, Q)."""
-    if not gscm and n > typeb.SCM_BRUTE_FORCE_CAP:
-        raise ResourceLimit(
-            f"brute-force SCM enumeration capped at n = {typeb.SCM_BRUTE_FORCE_CAP}"
-        )
+    """Count (generalized) signed contingency matrices at lengths (P, Q),
+    both from the closed form."""
     try:
-        count = typeb.gscm_count(n, p, q) if gscm else typeb.scm_count(n, p, q)
+        count = typeb.gscm_count(n, p, q) if gscm else typeb.scm_count_closed(n, p, q)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo(str(count))

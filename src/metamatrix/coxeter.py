@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .goldring import nonneg_grid
 from .tables import (  # the catalog, kept importable from here
     _EXCEPTIONAL_ORDERS,
     _I2_MATRIX_M,
@@ -109,11 +108,22 @@ def build_system(family: str, rank: int, m: int | None = None) -> CoxeterSystem:
 
 
 def ring_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of two matrices over Z[phi] in two-layer representation."""
+    """Product of two matrices over Z[phi] (phi^2 = phi + 1) in two-layer
+    representation."""
     a = x[0] @ y[0] + x[1] @ y[1]
     b = x[0] @ y[1] + x[1] @ y[0] + x[1] @ y[1]
     out = np.stack((a, b))
     return out
+
+
+def nonneg_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise exact test a + b*phi >= 0 on integer arrays.  Since
+    a + b*phi = ((2a + b) + b*sqrt(5)) / 2, the sign is decided by comparing
+    (2a + b)^2 with 5b^2 when the two terms disagree; no floating point."""
+    s = 2 * a + b
+    pos_b = (s >= 0) | (5 * b * b >= s * s)
+    neg_b = (s >= 0) & (s * s >= 5 * b * b)
+    return np.where(b >= 0, pos_b, neg_b)
 
 
 def _identity_mat(rank: int) -> np.ndarray:

@@ -24,10 +24,10 @@ from .coxeter import (
     TowerPlan,
     _identity_mat,
     leaf_prefixes,
+    nonneg_grid,
     ring_matmul,
     tower_plan,
 )
-from .goldring import nonneg_grid
 from .tables import (  # the result tables, kept importable from here
     EnumerationLimit,
     Metamatrix,

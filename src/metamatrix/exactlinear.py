@@ -1,9 +1,9 @@
-"""Exact integer/rational scalars and small dense matrices.
+"""Exact determinants and the inverse-Pascal transform, on python ints and
+``fractions.Fraction``.
 
-Everything here is exact: scalars are python ints or ``fractions.Fraction``,
-determinants use fraction-free Bareiss elimination, and the binomial
-convention extends to negative tops via the falling factorial so that
-alternating-sum identities hold without special cases.
+Matrices are lists of rows everywhere in the package.  `Matrix` remains
+only as the argument type of `bareiss_det`: it is built with
+`Matrix.from_rows` and read by `bareiss_det`, and holds nothing else.
 """
 
 from __future__ import annotations
@@ -13,16 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
-
-
-def gen_binom(t: int, k: int) -> int:
-    """Generalized binomial t*(t-1)*...*(t-k+1)/k! for any integer top."""
-    if k < 0:
-        raise ValueError("lower index must be nonnegative")
-    if t >= 0:
-        return math.comb(t, k)
-    # negative top: (-1)^k * C(k - t - 1, k)
-    return (-1) ** k * math.comb(k - t - 1, k)
 
 
 class Matrix:
@@ -45,72 +35,9 @@ class Matrix:
             raise ValueError("ragged rows")
         return cls(rows, cols, [x for r in grid for x in r])
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self._data[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._data[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.to_rows()!r})"
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
-        return Matrix(self.rows, other.cols, out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
-            len(row_idx),
-            len(col_idx),
-            [self[i, j] for i in row_idx for j in col_idx],
-        )
-
-    def is_upper_triangular(self) -> bool:
-        return all(self[i, j] == 0 for i in range(self.rows) for j in range(min(i, self.cols)))
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self[i, j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
 
 
 def _bareiss_int(grid: list[list[int]]) -> int:
@@ -145,7 +72,7 @@ def bareiss_det(a: Matrix) -> Fraction:
     Rational input is handled by clearing denominators column-wise first, so
     the elimination itself stays over the integers.
     """
-    if not a.is_square:
+    if a.rows != a.cols:
         raise ValueError("determinant requires a square matrix")
     n = a.rows
     if n == 0:
@@ -160,12 +87,13 @@ def bareiss_det(a: Matrix) -> Fraction:
     return Fraction(_bareiss_int(grid)) / scale
 
 
-def vandermonde_half_nodes(n: int) -> Matrix:
-    """Vandermonde matrix at the half-integer nodes 1/2, 3/2, ..., n+1/2."""
+def vandermonde_half_nodes(n: int) -> list[list[Fraction]]:
+    """Vandermonde matrix at the half-integer nodes 1/2, 3/2, ..., n+1/2, as
+    rows."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     nodes = [Fraction(2 * i + 1, 2) for i in range(n + 1)]
-    return Matrix.from_rows([[x**j for j in range(n + 1)] for x in nodes])
+    return [[x**j for j in range(n + 1)] for x in nodes]
 
 
 def _inverse_pascal_apply(x: Sequence[Scalar]) -> list[Scalar]:

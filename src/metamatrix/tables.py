@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactlinear import gen_binom
-
 # Dihedral groups realizable with exact matrix entries: integers for
 # m in {2,3,4,6}, Z[phi] for m=5 (2*cos(pi/5) = phi).
 _I2_MATRIX_M = {2, 3, 4, 5, 6}
@@ -166,7 +164,7 @@ def metamatrix_from_ntable(table: NTable, provenance: str = "enumeration") -> Me
         for q in range(n + 1):
             row.append(
                 sum(
-                    gen_binom(i, p) * gen_binom(j, q) * table.counts[i][j]
+                    math.comb(i, p) * math.comb(j, q) * table.counts[i][j]
                     for i in range(n + 1)
                     for j in range(n + 1)
                 )
@@ -209,6 +207,6 @@ def metamatrix_invariant_failure(m: Metamatrix, order: int) -> str | None:
         return "metamatrix is not symmetric"
     if e[0][0] != order:
         return f"M_00 is {e[0][0]}, expected |W| = {order}"
-    if list(e[n]) != [gen_binom(n, q) for q in range(n + 1)]:
+    if list(e[n]) != [math.comb(n, q) for q in range(n + 1)]:
         return f"row {n} is not C({n}, q)"
     return None

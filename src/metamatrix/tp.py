@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactlinear import (
-    Matrix,
-    _bareiss_int,
-    inverse_pascal_times,
-    vandermonde_half_nodes,
-)
+from .exactlinear import _bareiss_int, inverse_pascal_times, vandermonde_half_nodes
 from .typeb import scm_table
 
 ALL_MINORS_SIZE_CAP = 12
@@ -49,15 +44,17 @@ class TPCertificate:
         return self.verdict == "totally-positive"
 
 
-def _integer_rows(a: Matrix) -> tuple[list[list[int]], list[int]]:
-    """The rows of `a` scaled to integers, each by the lcm of its
-    denominators, with those scales.  A k x k minor of the scaled matrix is
-    the minor of `a` times the product of its rows' scales, so it has the
-    same sign."""
-    scales = [math.lcm(*(x.denominator for x in a.row(i))) for i in range(a.rows)]
+def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
+    """The rows of the square matrix `a` (rows of ints or Fractions) scaled to
+    integers, each by the lcm of its denominators, with those scales.  A
+    k x k minor of the scaled matrix is the minor of `a` times the product of
+    its rows' scales, so it has the same sign."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("total positivity is defined for square matrices here")
+    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
     grid = [
-        [x.numerator * (scale // x.denominator) for x in a.row(i)]
-        for i, scale in enumerate(scales)
+        [x.numerator * (scale // x.denominator) for x in row]
+        for row, scale in zip(a, scales)
     ]
     return grid, scales
 
@@ -105,18 +102,15 @@ def _all_minors(grid: list[list[int]]):
         prev_rank = {combo: r for r, combo in enumerate(combos)}
 
 
-def all_minors_positive(a: Matrix) -> TPCertificate:
+def all_minors_positive(a) -> TPCertificate:
     """Definitional check: every minor of every size, in lexicographic order,
-    on the integer-scaled rows.  The first minor <= 0 is evaluated again by
-    Bareiss elimination before it is reported."""
-    if not a.is_square:
-        raise ValueError("total positivity is defined for square matrices here")
-    n = a.rows
-    if n > ALL_MINORS_SIZE_CAP:
+    on the integer-scaled rows of the square matrix `a`.  The first minor
+    <= 0 is evaluated again by Bareiss elimination before it is reported."""
+    grid, scales = _integer_rows(a)
+    if len(grid) > ALL_MINORS_SIZE_CAP:
         raise ValueError(
             f"all-minors check capped at size {ALL_MINORS_SIZE_CAP}; use fekete_check"
         )
-    grid, scales = _integer_rows(a)
     checked = 0
     for rows, cols, value in _all_minors(grid):
         checked += 1
@@ -167,15 +161,14 @@ def _solid_minors(grid: list[list[int]]):
         older, prev = prev, level
 
 
-def fekete_check(a: Matrix) -> TPCertificate:
-    """Fekete criterion: minors on consecutive rows and consecutive columns.
+def fekete_check(a) -> TPCertificate:
+    """Fekete criterion: minors on consecutive rows and consecutive columns of
+    the square matrix `a`, given as rows.
 
     A totally-positive verdict here implies the all-minors verdict.  Rational
     rows are first scaled to integers, which keeps every minor's sign; a
     witness is reported at the unscaled value.
     """
-    if not a.is_square:
-        raise ValueError("total positivity is defined for square matrices here")
     grid, scales = _integer_rows(a)
     checked = 0
     for k, i, j, value in _solid_minors(grid):
@@ -216,9 +209,12 @@ def _half_node_diagonal(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c * 4**k, scale) for k, c in enumerate(coeffs))
 
 
-def gauss_decomposition_typeb(n: int) -> tuple[Matrix, Matrix, DecompositionReport]:
+def gauss_decomposition_typeb(
+    n: int,
+) -> tuple[list[list[Fraction]], tuple[Fraction, ...], DecompositionReport]:
     """Factor the signed-contingency table as Q * D * Q^t with Q = P^{-1} * V
-    upper triangular and D positive diagonal, both in closed form.
+    upper triangular and D positive diagonal, both in closed form.  Returns
+    Q as rows, the diagonal of D, and the report.
 
     Q is invertible (its diagonal is 0!, 1!, ..., n!), so the exact
     reconstruction Q * D * Q^t = T alone proves T congruent to the diagonal
@@ -226,28 +222,22 @@ def gauss_decomposition_typeb(n: int) -> tuple[Matrix, Matrix, DecompositionRepo
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rows = inverse_pascal_times(vandermonde_half_nodes(n).to_rows())
-    q = Matrix.from_rows(rows)
+    q = inverse_pascal_times(vandermonde_half_nodes(n))
     diag = _half_node_diagonal(n)
-    d = Matrix.from_rows(
-        [[diag[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-    )
-
-    upper = q.is_upper_triangular()
-    positive = all(x > 0 for x in diag)
+    upper = all(q[i][j] == 0 for i in range(n + 1) for j in range(i))
     # with Q upper triangular, (Q D Q^t)_ij = sum over k >= max(i, j) of Q_ik D_kk Q_jk
     table = scm_table(n)
     reconstructs = all(
-        sum(rows[i][k] * diag[k] * rows[j][k] for k in range(max(i, j), n + 1)) == table[i][j]
+        sum(q[i][k] * diag[k] * q[j][k] for k in range(max(i, j), n + 1)) == table[i][j]
         for i in range(n + 1)
         for j in range(n + 1)
     )
     report = DecompositionReport(
         upper_triangular=upper,
         diagonal=diag,
-        diagonal_positive=positive,
+        diagonal_positive=all(x > 0 for x in diag),
         reconstructs=reconstructs,
     )
     if not report.ok:
         raise AssertionError(f"type-B factorization failed structurally: {report}")
-    return q, d, report
+    return q, diag, report

@@ -22,22 +22,22 @@ from metamatrix.engine import (
     metamatrix_bruteforce,
     metamatrix_from_ntable,
 )
-from metamatrix.exactlinear import Matrix, bareiss_det
 from metamatrix.tp import (
     all_minors_positive,
     fekete_check,
     gauss_decomposition_typeb,
 )
-from metamatrix.typeb import (
-    enumerate_scm,
-    gscm_count,
-    metamatrix_typeb,
-    scm_table,
-    subset_to_margin,
-)
+from metamatrix.typeb import gscm_count, metamatrix_typeb, scm_table
 from references import (
     binomial_sum,
+    det,
+    enumerate_scm,
     gscm_product,
+    is_upper_triangular,
+    matmul,
+    submatrix,
+    subset_to_margin,
+    transpose,
     verify_alternating_identity,
     verify_root_identity,
     verify_scm_gscm_transform,
@@ -171,14 +171,15 @@ def test_criterion_08_decomposition():
         for n in range(1, 9):
             q, d, report = gauss_decomposition_typeb(n)
             assert report.ok
-            assert q.is_upper_triangular()
-            assert d.is_diagonal() and all(x > 0 for x in report.diagonal)
-            assert q * d * q.transpose() == Matrix.from_rows(scm_table(n))
+            assert is_upper_triangular(q)
+            assert d == report.diagonal and all(x > 0 for x in report.diagonal)
+            d_mat = [[d[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+            assert matmul(matmul(q, d_mat), transpose(q)) == scm_table(n)
 
 
 def _reference_matrices():
-    out = [Matrix.from_rows(golden.dihedral_metamatrix(m)) for m in range(2, 8)]
-    out.extend(Matrix.from_rows(t) for t in golden.EXCEPTIONAL.values())
+    out = [golden.dihedral_metamatrix(m) for m in range(2, 8)]
+    out.extend(golden.EXCEPTIONAL.values())
     return out
 
 
@@ -191,12 +192,12 @@ def test_criterion_09_total_positivity():
         ])
         produced.append(enumerated("E", 7, None, 1)[0])
         for result in produced:
-            matrix = Matrix.from_rows(rows(result))
+            matrix = rows(result)
             assert all_minors_positive(matrix).is_totally_positive
             assert fekete_check(matrix).is_totally_positive
 
         start = time.perf_counter()
-        e8 = Matrix.from_rows(golden.E8)
+        e8 = golden.E8
         cert = all_minors_positive(e8)
         elapsed = time.perf_counter() - start
         assert cert.is_totally_positive and cert.minors_checked == 48619
@@ -208,18 +209,16 @@ def test_criterion_09_total_positivity():
         for _ in range(100):
             size = rng.randint(2, 6)
             corpus.append(
-                Matrix.from_rows(
-                    [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
-                )
+                [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
             )
         references = _reference_matrices()
         for _ in range(100):
             base = rng.choice(references)
-            grid = [[base[i, j] for j in range(base.cols)] for i in range(base.rows)]
-            i = rng.randrange(base.rows)
-            j = rng.randrange(base.cols)
+            grid = [list(row) for row in base]
+            i = rng.randrange(len(base))
+            j = rng.randrange(len(base[0]))
             grid[i][j] += rng.choice([-1, 1]) * rng.randint(1, 5)
-            corpus.append(Matrix.from_rows(grid))
+            corpus.append(grid)
         for matrix in corpus:
             full = all_minors_positive(matrix)
             windows = fekete_check(matrix)
@@ -227,7 +226,7 @@ def test_criterion_09_total_positivity():
             for cert in (full, windows):
                 if cert.witness is not None:
                     w = cert.witness
-                    assert bareiss_det(matrix.submatrix(w.rows, w.cols)) == w.minor
+                    assert det(submatrix(matrix, w.rows, w.cols)) == w.minor
                     assert w.minor <= 0
 
 

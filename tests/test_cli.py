@@ -1,4 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +16,7 @@ from metamatrix import cli, engine, typeb
 from metamatrix.cli import main
 from metamatrix.engine import Metamatrix, NTable
 from metamatrix.typeb import metamatrix_typeb
+from references import scm_count
 
 
 @pytest.fixture
@@ -414,11 +421,75 @@ class TestScmCount:
         res = runner.invoke(main, ["scm-count", "2", "1", "1", "--gscm"])
         assert res.output.strip() == "15"
 
-    def test_brute_force_cap(self, runner):
-        assert runner.invoke(main, ["scm-count", "6", "1", "1"]).exit_code == 3
+    def test_any_n_from_the_closed_form(self, runner):
+        res = runner.invoke(main, ["scm-count", "6", "1", "1"])
+        assert res.exit_code == 0
+        assert res.output == "197\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_enumeration(self, runner, n):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                res = runner.invoke(main, ["scm-count", str(n), str(p), str(q)])
+                assert res.exit_code == 0
+                assert res.output == f"{scm_count(n, p, q)}\n", (n, p, q)
 
     def test_out_of_range(self, runner):
         assert runner.invoke(main, ["scm-count", "2", "3", "1"]).exit_code == 2
+
+
+def run_cli(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+    """`python -m metamatrix.cli ARGS` in a fresh interpreter on this source
+    tree, so no earlier invocation has changed interpreter-wide settings."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "metamatrix.cli", *args], input=stdin,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@contextmanager
+def any_int_digits():
+    """Lift the int/str digit limit in this process for the comparison."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestBigIntegers:
+    """Output stays exact past Python's default 4,300-digit int/str limit."""
+
+    def test_gscm_count_with_12636_digits(self):
+        proc = run_cli(["scm-count", "--gscm", "3000", "3000", "3000"])
+        assert proc.returncode == 0, proc.stderr
+        [line] = proc.stdout.splitlines()
+        assert len(line) == 12636
+        with any_int_digits():
+            assert line == str(math.comb(2 * 3000 * 3000 + 3000 + 3000 + 3000, 3000))
+
+    def test_check_tp_reads_a_5001_digit_entry(self):
+        with any_int_digits():
+            big = str(10**5000)
+        proc = run_cli(["check-tp", "-"], stdin=f"[[{big}]]")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "verdict": "totally-positive",
+            "method": "all-minors",
+            "minors_checked": 1,
+            "witness": None,
+        }
+
+    def test_check_tp_witness_with_5001_digits(self):
+        with any_int_digits():
+            big = str(10**5000)
+        proc = run_cli(["check-tp", "-"], stdin=f"1 {big}\n1 1\n")
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["witness"]["minor"] == "-" + "9" * 5000
 
 
 class TestInputErrors:

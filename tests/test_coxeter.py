@@ -7,12 +7,12 @@ from metamatrix.coxeter import (
     _identity_mat,
     build_system,
     leaf_prefixes,
+    nonneg_grid,
     ring_matmul,
     root_system,
     tower_plan,
 )
 from metamatrix.engine import _matrix_elements, group_table
-from metamatrix.goldring import nonneg_grid
 
 SMALL_SYSTEMS = [
     ("A", 1, None),

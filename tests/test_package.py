@@ -29,7 +29,6 @@ EXPORTS = [
     ("accumulate_ntable", "engine"),
     ("double_coset_count", "engine"),
     ("metamatrix_bruteforce", "engine"),
-    ("Matrix", "exactlinear"),
     ("TPCertificate", "tp"),
     ("all_minors_positive", "tp"),
     ("fekete_check", "tp"),
@@ -77,6 +76,15 @@ def numpy_after(statements: str, stdin: str = "") -> dict:
     return run_python(code, stdin)
 
 
+def loaded_after(statements: str, modules: list[str]) -> dict:
+    code = (
+        "import json, sys\n"
+        f"{statements}\n"
+        f"print(json.dumps({{m: m in sys.modules for m in {modules!r}}}), file=sys.stderr)\n"
+    )
+    return run_python(code)
+
+
 def cli_run(args: list[str]) -> str:
     return (
         "from metamatrix.cli import main\n"
@@ -93,6 +101,9 @@ class TestStartWithoutNumpy:
         assert numpy_after("import metamatrix.cli, metamatrix.tp\ncode = None") == {
             "numpy": False, "code": None,
         }
+        # nor hashlib, which only the N-table cache checksum needs
+        got = loaded_after("import metamatrix.cli, metamatrix.tp", ["hashlib"])
+        assert got == {"hashlib": False}
 
     def test_check_tp(self):
         got = numpy_after(cli_run(["check-tp", "-"]), stdin="[[2, 1], [1, 1]]")

@@ -8,21 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from metamatrix.exactlinear import gen_binom
-
-from metamatrix.typeb import (
+from metamatrix.typeb import gscm_count, metamatrix_typeb, scm_count_closed, scm_table
+from references import (
     MarginCondition,
+    binomial_sum,
     enumerate_scm,
-    gscm_count,
+    gen_binom,
+    gscm_piece_count,
+    gscm_product,
     margin_conditions,
     margin_to_subset,
-    metamatrix_typeb,
     scm_count,
     scm_count_fixed_case,
-    scm_table,
     subset_to_margin,
+    verify_scm_gscm_transform,
 )
-from references import binomial_sum, gscm_piece_count, gscm_product, verify_scm_gscm_transform
 
 
 def subsets(n):
@@ -146,6 +146,25 @@ class TestScmCounts:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             scm_count(2, 3, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_closed_count_matches_enumeration(self, n):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                assert scm_count_closed(n, p, q) == scm_count(n, p, q), (n, p, q)
+
+    def test_closed_count_is_the_table_entry(self):
+        # T_pq needs only the leading (max(p, q) + 1)-square block of L
+        for n in range(1, 13):
+            t = scm_table(n)
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    assert scm_count_closed(n, p, q) == t[p][q], (n, p, q)
+
+    @pytest.mark.parametrize("args", [(2, 3, 0), (2, 0, 3), (2, -1, 0), (-1, 0, 0)])
+    def test_closed_count_out_of_range_rejected(self, args):
+        with pytest.raises(ValueError, match="need 0 <= p, q <= n"):
+            scm_count_closed(*args)
 
 
 class TestGscm:
