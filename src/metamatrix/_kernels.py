@@ -1,37 +1,92 @@
-"""The leaf gather of the N-table accumulation, on root permutations.
+"""One level of the N-table walk over the coset tower, in python ints.
 
-An element w = p * t is split into a tower prefix p and a tail element t.
-Its right ascents are the j with p(t(alpha_j)) > 0 and its left ascents the
-i with t^{-1}(p^{-1}(alpha_i)) > 0, so both counts are sums of lookups in
-sign tables precomputed per prefix and per tail element.
+Write w in W_k as w = u * t, with u in T_k (the minimal representative of
+w's coset of W_{k-1}) and t in W_{k-1}.  Then u maps the positive roots of
+W_{k-1} to positive roots, and W_{k-1} permutes the positive roots outside
+its own root system (Bjorner-Brenti, GTM 231, section 2.4).  Hence:
+
+- right ascents: a node of W_{k-1} is a right ascent of w exactly when it is
+  one of t; the new node j is one when u(t(alpha_j)) > 0;
+- left ascents: for a node i of W_k, the root u^{-1}(alpha_i) is negative
+  (i is no ascent), positive outside the root system of W_{k-1} (i is one),
+  or, by Deodhar's lemma, a simple root alpha_m of W_{k-1}, and then i is an
+  ascent of w exactly when m is one of t.
+
+So w's ascents depend on t only through its state: its left-ascent set, its
+number of right ascents, and t(alpha_j) for each node j watched at level
+k - 1 (`coxeter.TowerPlan.watched`).  A histogram maps states
+(left-ascent bitmask, #right ascents, images) to element counts; bit j - 1
+of the mask stands for node j.
 """
 
 from __future__ import annotations
 
-import numpy as np
+SHIFT = 4  # a state's (mask, #right ascents) packs into mask << SHIFT | count
+COUNT = (1 << SHIFT) - 1  # ranks are at most 8 < 2**SHIFT
 
 
-def count_profiles_batch(
-    prefix_pos: np.ndarray,
-    prefix_inv: np.ndarray,
-    tails: np.ndarray,
-    tails_inv_pos: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Accumulate the ascent counts of every product p_k * t_b into `out`.
+def count_profiles_batch(plan, k: int, histogram: dict) -> dict:
+    """The state histogram of W_k from `histogram`, that of W_{k-1}."""
+    positive = plan.roots.positive
+    reps, invs = plan.transversals[k - 1]
+    below = {j - 1 for j in plan.order[: k - 1]}
+    watched = plan.watched[k - 1]
+    # t(alpha_j) is a watched slot of the state, or alpha_j (root j - 1) itself
+    slot = {j: s for s, j in enumerate(watched)}
+    simple = tuple(range(plan.system.rank))
 
-    prefix_pos:    (K, R) bool, prefix_pos[k, r] iff p_k(root r) > 0.
-    prefix_inv:    (K, n) int, prefix_inv[k, i] = index of p_k^{-1}(alpha_i).
-    tails:         (B, n) int, tails[b, j] = index of t_b(alpha_j).
-    tails_inv_pos: (R, B) bool, tails_inv_pos[r, b] iff t_b^{-1}(root r) > 0.
-    out:           (n+1, n+1) int64; out[l, r] += #products with l left and
-                   r right ascents.
-    """
-    n = tails.shape[1]
-    right = np.zeros((len(prefix_pos), len(tails)), dtype=np.uint8)
-    left = np.zeros_like(right)
-    for j in range(n):
-        right += np.take(prefix_pos, tails[:, j], axis=1)
-        left += np.take(tails_inv_pos, prefix_inv[:, j], axis=0)
-    codes = left * np.uint8(n + 1) + right
-    out += np.bincount(codes.ravel(), minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    def source(j: int) -> int:
+        return slot.get(j, len(watched) + j - 1)
+
+    new = source(plan.order[k - 1])
+    carried = [source(j) for j in plan.watched[k]]
+
+    # the states grouped by their images, (mask, count) packed into one code
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for (mask, right, images), count in histogram.items():
+        groups.setdefault(images, {})[mask << SHIFT | right] = count
+    codes = {code for group in groups.values() for code in group}
+    masks = {code >> SHIFT for code in codes}
+
+    # per representative u: the code each incoming (mask, count) turns into,
+    # before the new node's right ascent is added
+    moves = []
+    for u, u_inv in zip(reps, invs):
+        ascents, renamed = 0, []
+        for j in plan.order[:k]:
+            root = u_inv[j - 1]
+            if positive[root]:
+                if root in below:  # u^{-1}(alpha_j) = alpha_{root + 1}
+                    renamed.append((1 << root, 1 << (j - 1)))
+                else:
+                    ascents |= 1 << (j - 1)
+        left = {}
+        for mask in masks:
+            out = ascents
+            for bit, to in renamed:
+                if mask & bit:
+                    out |= to
+            left[mask] = out << SHIFT
+        moves.append((u, {code: left[code >> SHIFT] | code & COUNT for code in codes}))
+
+    out: dict[tuple[int, ...], dict[int, int]] = {}
+    for images, group in groups.items():
+        roots = images + simple
+        new_root = roots[new]
+        sources = [roots[s] for s in carried]
+        items = list(group.items())
+        for u, move in moves:
+            step = positive[u[new_root]]
+            key = tuple([u[r] for r in sources])
+            target = out.get(key)
+            if target is None:
+                target = out[key] = {}
+            get = target.get
+            for code, count in items:
+                to = move[code] + step
+                target[to] = get(to, 0) + count
+    return {
+        (code >> SHIFT, code & COUNT, images): count
+        for images, group in out.items()
+        for code, count in group.items()
+    }

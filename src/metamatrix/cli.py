@@ -8,9 +8,10 @@ emitted as decimal strings so output is lossless at any magnitude: the CLI
 lifts Python's int/str digit limit when it runs.  Matrices are lists of
 rows, and `scm-count` answers any n from the closed form.
 
-numpy is imported only by the code that enumerates, runs the oracle or uses
-the N-table cache (`engine`, `coxeter`), so `check-tp` and the closed
-formulas start without it.
+Only the oracle (`engine.metamatrix_bruteforce`) imports numpy, when it
+runs; `check-tp`, the closed formulas and the enumeration start without it.
+`coxeter` and `engine` are imported on first use, so `check-tp` and the
+formulas do not load them either.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _cache_dir(option_value: str | None) -> Path:
 
 
 def build_system(family: str, rank: int, m: int | None = None):
-    """`coxeter.build_system`, imported on first use (coxeter needs numpy)."""
+    """`coxeter.build_system`, imported on first use."""
     from .coxeter import build_system
 
     return build_system(family, rank, m)
@@ -121,11 +122,10 @@ def _read_cached(path: Path, system) -> NTable | None:
     return table
 
 
-def _cached_ntable(system, cache: Path, workers: int | None, allow_long: bool) -> NTable:
-    """The N-table of `system`, from the cache or computed with `workers`
-    processes (None: one per usable CPU) and then cached.  Computing the E8
-    table is a long-running job: on a cache miss it needs `allow_long`, and
-    it reports progress on stderr."""
+def _cached_ntable(system, cache: Path, allow_long: bool) -> NTable:
+    """The N-table of `system`, from the cache or computed and then cached.
+    Computing the E8 table is a long-running job: on a cache miss it needs
+    `allow_long`, and it reports progress per tower level on stderr."""
     from . import engine
 
     label = system_label(system.family, system.rank, system.m)
@@ -143,9 +143,9 @@ def _cached_ntable(system, cache: Path, workers: int | None, allow_long: bool) -
             )
 
         def progress(done: int, total: int):
-            click.echo(f"{label}: top-level coset {done}/{total} done", err=True)
+            click.echo(f"{label}: tower level {done}/{total} done", err=True)
 
-    table = engine.accumulate_ntable(system, workers=workers, progress=progress)
+    table = engine.accumulate_ntable(system, progress=progress)
     try:
         payload = _ntable_payload(system.family, system.rank, system.m, system.order, table)
         _write_atomic(path, json.dumps(payload))
@@ -207,11 +207,11 @@ def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, in
     return fam, rank, None
 
 
-def _enumeration(system, cache: Path, workers: int | None, allow_long: bool) -> Metamatrix:
+def _enumeration(system, cache: Path, allow_long: bool) -> Metamatrix:
     from . import engine
 
     # engine's name for the transform is the one perfbench/tracing.py times
-    return engine.metamatrix_from_ntable(_cached_ntable(system, cache, workers, allow_long))
+    return engine.metamatrix_from_ntable(_cached_ntable(system, cache, allow_long))
 
 
 def _oracle(system) -> Metamatrix:
@@ -222,7 +222,7 @@ def _oracle(system) -> Metamatrix:
 
 
 def _legs(
-    fam: str, rank: int, m: int | None, workers: int | None, cache: Path, allow_long: bool
+    fam: str, rank: int, m: int | None, cache: Path, allow_long: bool
 ) -> dict[str, Callable[[], Metamatrix]]:
     """The pipelines that apply to the system, each a zero-argument callable
     that computes its metamatrix: `formula` for B and I2, `enumeration` (from
@@ -238,9 +238,7 @@ def _legs(
     else:
         check_catalog(fam, rank, m)
     if fam != "I2" or m in _I2_MATRIX_M:
-        legs["enumeration"] = lambda: _enumeration(
-            build_system(fam, rank, m), cache, workers, allow_long
-        )
+        legs["enumeration"] = lambda: _enumeration(build_system(fam, rank, m), cache, allow_long)
         legs["oracle"] = lambda: _oracle(build_system(fam, rank, m))
     return legs
 
@@ -290,7 +288,8 @@ _common = [
         "--workers",
         type=click.IntRange(min=1),
         default=None,
-        help="worker processes, at most one per usable CPU (default: the usable CPUs)",
+        expose_value=False,
+        help="accepted for compatibility; has no effect (the enumeration runs in one process)",
     ),
     click.option("--cache-dir", default=None, help="N-table cache directory"),
 ]
@@ -316,10 +315,10 @@ _METHODS = {"formula": "formula", "enumerate": "enumeration", "oracle": "oracle"
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="pretty")
 @click.option("--allow-long-running", is_flag=True)
-def compute(family, rank, m, workers, cache_dir, method, fmt, allow_long_running):
+def compute(family, rank, m, cache_dir, method, fmt, allow_long_running):
     """Compute the metamatrix of a Coxeter group."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    legs = _legs(fam, rank, m, workers, _cache_dir(cache_dir), allow_long_running)
+    legs = _legs(fam, rank, m, _cache_dir(cache_dir), allow_long_running)
     if method is None:
         method = "formula" if "formula" in legs else "enumerate"
     leg = legs.get(_METHODS[method])
@@ -427,10 +426,10 @@ def check_tp(source, method):
 
 @main.command()
 @_with_common
-def verify(family, rank, m, workers, cache_dir):
+def verify(family, rank, m, cache_dir):
     """Cross-check every applicable pipeline and report agreement."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    legs = _legs(fam, rank, m, workers, _cache_dir(cache_dir), allow_long=False)
+    legs = _legs(fam, rank, m, _cache_dir(cache_dir), allow_long=False)
     if "oracle" in legs:
         from . import engine
 
@@ -474,13 +473,13 @@ def verify(family, rank, m, workers, cache_dir):
 @_with_common
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json")
 @click.option("--allow-long-running", is_flag=True)
-def ntable(family, rank, m, workers, cache_dir, fmt, allow_long_running):
+def ntable(family, rank, m, cache_dir, fmt, allow_long_running):
     """Compute (and cache) the two-sided ascent-count table."""
     fam, rank, m = _resolve_spec(family, rank, m)
     order = _group_order(fam, rank, m)
     cache = _cache_dir(cache_dir)
-    if "enumeration" in _legs(fam, rank, m, workers, cache, allow_long_running):
-        table = _cached_ntable(build_system(fam, rank, m), cache, workers, allow_long_running)
+    if "enumeration" in _legs(fam, rank, m, cache, allow_long_running):
+        table = _cached_ntable(build_system(fam, rank, m), cache, allow_long_running)
     else:
         table = dihedral_ntable(m)
     if fmt == "json":

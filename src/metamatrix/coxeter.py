@@ -1,22 +1,18 @@
-"""Finite Coxeter systems, their root systems, and the parabolic coset tower.
+"""Finite Coxeter systems, their root systems, and the parabolic coset tower,
+in python ints.
 
-Group elements act on the simple-root basis; the matrix of w has column j
-equal to the coordinates of w(alpha_j).  Crystallographic families live over
-the integers, H3/H4 (and I2(5)) over Z[phi].  Both cases are stored uniformly
-as integer arrays of shape (2, n, n): layer 0 the rational part, layer 1 the
-phi part.  Positivity of a root is the exact all-coordinates-nonnegative test
-on its column.
+Coordinates are taken in the simple-root basis.  Crystallographic families
+live over the integers, H3/H4 (and I2(5)) over Z[phi]: every coordinate is a
+pair (a, b) standing for a + b*phi, so both cases are handled alike.
+Positivity of a root is the exact all-coordinates-nonnegative test.
 
-The enumeration works on root permutations instead (see `root_system`): the
-generator matrices are used only to build the root system once and by the
-oracle's own matrix enumeration (`engine.GroupTable`).
+The enumeration works on root permutations (see `root_system`); the oracle
+builds its own generator matrices from `cartan` (`engine.GroupTable`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .tables import (  # the catalog, kept importable from here
     _EXCEPTIONAL_ORDERS,
@@ -30,8 +26,6 @@ from .tables import (  # the catalog, kept importable from here
     check_catalog,
     system_label,
 )
-
-TAIL_CAP = 4000
 
 _CHAIN_ORDERS = {
     "A": lambda n: list(range(1, n + 1)),
@@ -52,6 +46,8 @@ _BOND_CARTAN = {
     6: ((-1, 0), (-3, 0)),
 }
 
+ZPhi = tuple[int, int]  # a + b*phi
+
 
 @dataclass(frozen=True)
 class CoxeterSystem:
@@ -60,9 +56,8 @@ class CoxeterSystem:
     m: int | None
     golden: bool
     coxeter_matrix: tuple[tuple[int, ...], ...]
-    cartan: np.ndarray  # (2, n, n) int64
+    cartan: tuple[tuple[ZPhi, ...], ...]  # cartan[i][j], 0-based nodes
     order: int
-    generators: tuple[np.ndarray, ...] = field(repr=False)  # matrices of s_i
 
 
 def build_system(family: str, rank: int, m: int | None = None) -> CoxeterSystem:
@@ -71,65 +66,41 @@ def build_system(family: str, rank: int, m: int | None = None) -> CoxeterSystem:
     check_catalog(family, rank, m)
     if family != "I2":
         m = None
-    edges = _edges(family, rank, m)
-
     cox = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
-    cartan = np.zeros((2, rank, rank), dtype=np.int64)
-    cartan[0] += 2 * np.eye(rank, dtype=np.int64)
-    for (i, j), bond in edges.items():
+    cartan = [[(2, 0) if i == j else (0, 0) for j in range(rank)] for i in range(rank)]
+    for (i, j), bond in _edges(family, rank, m).items():
         cox[i - 1][j - 1] = cox[j - 1][i - 1] = bond
-        (cij_a, cij_b), (cji_a, cji_b) = _BOND_CARTAN[bond]
-        cartan[0, i - 1, j - 1] = cij_a
-        cartan[1, i - 1, j - 1] = cij_b
-        cartan[0, j - 1, i - 1] = cji_a
-        cartan[1, j - 1, i - 1] = cji_b
-    golden = bool(cartan[1].any())
-
-    gens = []
-    for i in range(rank):
-        g = np.zeros((2, rank, rank), dtype=np.int64)
-        g[0] += np.eye(rank, dtype=np.int64)
-        g[0, i, :] -= cartan[0, i, :]
-        g[1, i, :] -= cartan[1, i, :]
-        g.setflags(write=False)
-        gens.append(g)
-
-    cartan.setflags(write=False)
+        cartan[i - 1][j - 1], cartan[j - 1][i - 1] = _BOND_CARTAN[bond]
     return CoxeterSystem(
         family=family,
         rank=rank,
         m=m,
-        golden=golden,
+        golden=any(b for row in cartan for _, b in row),
         coxeter_matrix=tuple(tuple(r) for r in cox),
-        cartan=cartan,
+        cartan=tuple(tuple(r) for r in cartan),
         order=_group_order(family, rank, m),
-        generators=tuple(gens),
     )
 
 
-def ring_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of two matrices over Z[phi] (phi^2 = phi + 1) in two-layer
-    representation."""
-    a = x[0] @ y[0] + x[1] @ y[1]
-    b = x[0] @ y[1] + x[1] @ y[0] + x[1] @ y[1]
-    out = np.stack((a, b))
-    return out
-
-
-def nonneg_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise exact test a + b*phi >= 0 on integer arrays.  Since
-    a + b*phi = ((2a + b) + b*sqrt(5)) / 2, the sign is decided by comparing
-    (2a + b)^2 with 5b^2 when the two terms disagree; no floating point."""
+def is_nonneg(a: int, b: int) -> bool:
+    """Exact test a + b*phi >= 0.  Since a + b*phi = ((2a + b) + b*sqrt(5)) / 2,
+    the sign is decided by comparing (2a + b)^2 with 5b^2 when the two terms
+    disagree; no floating point."""
     s = 2 * a + b
-    pos_b = (s >= 0) | (5 * b * b >= s * s)
-    neg_b = (s >= 0) & (s * s >= 5 * b * b)
-    return np.where(b >= 0, pos_b, neg_b)
+    if b >= 0:
+        return s >= 0 or 5 * b * b >= s * s
+    return s >= 0 and s * s >= 5 * b * b
 
 
-def _identity_mat(rank: int) -> np.ndarray:
-    out = np.zeros((2, rank, rank), dtype=np.int64)
-    out[0] += np.eye(rank, dtype=np.int64)
-    return out
+def reflect(system: CoxeterSystem, i: int, root: tuple[ZPhi, ...]) -> tuple[ZPhi, ...]:
+    """s_{i+1}(root): only coordinate i changes, by the row i of the Cartan
+    matrix applied to the root (phi^2 = phi + 1)."""
+    a = b = 0
+    for (ca, cb), (xa, xb) in zip(system.cartan[i], root):
+        a += ca * xa + cb * xb
+        b += ca * xb + cb * xa + cb * xb
+    xa, xb = root[i]
+    return root[:i] + ((xa - a, xb - b),) + root[i + 1 :]
 
 
 # --------------------------------------------------------------------------
@@ -137,90 +108,72 @@ def _identity_mat(rank: int) -> np.ndarray:
 #
 # Every element w permutes the finite root system Phi, and w is determined by
 # that permutation (indeed by the images of the simple roots).  The tower and
-# the N-table kernel work on these integer permutations only: a product is a
-# gather, and an ascent test is a lookup in the sign table of Phi.  The exact
-# Z[phi] arithmetic is confined to building Phi once (Casselman, "Machine
+# the N-table walk work on these integer permutations only: a product is a
+# lookup per root, and an ascent test is a lookup in the sign table of Phi.
+# The Z[phi] arithmetic is confined to building Phi once (Casselman, "Machine
 # calculations in Weyl groups", Invent. Math. 116, 1994; Bjorner-Brenti,
 # GTM 231, ch. 4).
+
+Perm = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class RootSystem:
     """Phi with its signs and the generator permutations.
 
-    Root k has coordinates coords[:, :, k] in the simple-root basis (layer 0
-    the rational part, layer 1 the phi part); the simple root alpha_j has
-    index j - 1.  generators[i - 1][k] is the index of s_i(root k).
+    Root k has coordinates coords[k] (one (a, b) pair per simple root); the
+    simple root alpha_j has index j - 1.  generators[i - 1][k] is the index
+    of s_i(root k).
     """
 
-    coords: np.ndarray  # (2, n, R) int64
-    positive: np.ndarray  # (R,) bool
-    generators: np.ndarray  # (n, R) intp
+    coords: tuple[tuple[ZPhi, ...], ...]
+    positive: tuple[bool, ...]
+    generators: tuple[Perm, ...]
 
     @property
     def rank(self) -> int:
-        return self.coords.shape[1]
+        return len(self.generators)
 
     @property
     def size(self) -> int:
-        return self.positive.shape[0]
-
-
-def _column_keys(vectors: np.ndarray) -> list[bytes]:
-    """Hashable key per column of a (2, n, k) coordinate stack."""
-    rows = np.ascontiguousarray(vectors.transpose(2, 0, 1))
-    return [row.tobytes() for row in rows]
+        return len(self.positive)
 
 
 def root_system(system: CoxeterSystem) -> RootSystem:
     """Phi as the orbit of the simple roots under the generators, exactly."""
     n = system.rank
-    simple = _identity_mat(n)  # columns: the simple roots
-    index = {key: k for k, key in enumerate(_column_keys(simple))}
-    found = [simple]
-    frontier = simple
-    while frontier.shape[2]:
+    coords = [tuple((1, 0) if k == j else (0, 0) for k in range(n)) for j in range(n)]
+    index = {root: k for k, root in enumerate(coords)}
+    frontier = coords
+    while frontier:
         fresh = []
-        for g in system.generators:
-            images = ring_matmul(g, frontier)
-            for col, key in enumerate(_column_keys(images)):
-                if key not in index:
-                    index[key] = len(index)
-                    fresh.append(images[:, :, col])
-        frontier = np.stack(fresh, axis=2) if fresh else simple[:, :, :0]
-        found.append(frontier)
-    coords = np.concatenate(found, axis=2)
-    positive = nonneg_grid(coords[0], coords[1]).all(axis=0)
-    generators = np.array(
-        [[index[key] for key in _column_keys(ring_matmul(g, coords))]
-         for g in system.generators],
-        dtype=np.intp,
-    ).reshape(n, -1)
-    for arr in (coords, positive, generators):
-        arr.setflags(write=False)
-    return RootSystem(coords, positive, generators)
+        for i in range(n):
+            for root in frontier:
+                image = reflect(system, i, root)
+                if image not in index:
+                    index[image] = len(coords) + len(fresh)
+                    fresh.append(image)
+        coords = coords + fresh
+        frontier = fresh
+    return RootSystem(
+        coords=tuple(coords),
+        positive=tuple(all(is_nonneg(a, b) for a, b in root) for root in coords),
+        generators=tuple(
+            tuple(index[reflect(system, i, root)] for root in coords) for i in range(n)
+        ),
+    )
 
 
-def _perm_key(perm: np.ndarray, rank: int) -> bytes:
-    # w is determined by the images of the simple roots (a basis)
-    return perm[:rank].tobytes()
-
-
-def _products(
-    left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every product u * v of u in `left` and v in `right` (u-major), with
-    inverses; each side is a pair (elements, inverses) of (., R) arrays."""
-    (us, us_inv), (vs, vs_inv) = left, right
-    size = us.shape[1]
-    prods = us[:, vs].reshape(-1, size)  # (u * v)(r) = u[v[r]]
-    invs = vs_inv[:, us_inv].transpose(1, 0, 2).reshape(-1, size)
-    return prods, invs
+def inverse(perm: Perm) -> Perm:
+    out = [0] * len(perm)
+    for r, image in enumerate(perm):
+        out[image] = r
+    return tuple(out)
 
 
 def coset_transversal(
     roots: RootSystem, big_gens: list[int], small_gens: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[Perm], list[Perm]]:
     """Minimal-length left-coset representatives of W_small in W_big, as root
     permutations with their inverses.
 
@@ -231,76 +184,65 @@ def coset_transversal(
     """
     n = roots.rank
     small = [j - 1 for j in small_gens]
-    e = np.arange(roots.size, dtype=np.intp)
+    positive = roots.positive
+    e = tuple(range(roots.size))
     reps = [e]
-    seen = {_perm_key(e, n)}
-    frontier = e[None]
-    while len(frontier):
+    seen = {e[:n]}  # w is determined by the images of the simple roots
+    frontier = reps
+    while frontier:
         fresh = []
         for i in big_gens:
-            products = roots.generators[i - 1][frontier]  # s_i * u
-            minimal = roots.positive[products[:, small]].all(axis=1)
-            for perm in products[minimal]:
-                key = _perm_key(perm, n)
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(perm)
-                    reps.append(perm)
-        frontier = np.array(fresh, dtype=np.intp).reshape(-1, roots.size)
-    stack = np.stack(reps)
-    return stack, np.argsort(stack, axis=1)
+            g = roots.generators[i - 1]
+            for u in frontier:
+                product = tuple([g[r] for r in u])  # s_i * u
+                if all(positive[product[j]] for j in small) and product[:n] not in seen:
+                    seen.add(product[:n])
+                    fresh.append(product)
+        reps += fresh
+        frontier = fresh
+    return reps, [inverse(u) for u in reps]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TowerPlan:
-    """Parabolic coset tower: W = T_top * ... * T_low * W_tail.
+    """The parabolic coset tower W = T_n * ... * T_1 on root permutations.
 
-    Elements are root permutations: `tail_mats` (B, R) holds the tail
-    subgroup and `tail_invs` its inverses; `transversals` lists, top level
-    first, (representatives, inverse representatives) arrays of shape (M, R).
+    W_k, generated by the first k nodes of `order`, is T_k * W_{k-1}, where
+    T_k holds the minimal left-coset representatives of W_{k-1} in W_k;
+    `transversals[k - 1]` is T_k as (representatives, inverses), level 1
+    first.  `tail_mats` is W_0 = {e}: the identity the N-table walk starts
+    from.  `watched[k]` lists the nodes outside the first k that are adjacent
+    to one of them, in increasing order: the nodes j whose images t(alpha_j),
+    t in W_k, the walk carries (every other node outside is fixed by W_k).
     """
 
     system: CoxeterSystem
     roots: RootSystem
-    tail_mats: np.ndarray
-    tail_invs: np.ndarray
-    transversals: list[tuple[np.ndarray, np.ndarray]]
-
-    def top_size(self) -> int:
-        """Number of top-level cosets (1 when the tail is the whole group)."""
-        return len(self.transversals[0][0]) if self.transversals else 1
+    order: tuple[int, ...]
+    tail_mats: tuple[Perm, ...]
+    transversals: list[tuple[list[Perm], list[Perm]]]
+    watched: tuple[tuple[int, ...], ...]
 
 
-def tower_plan(system: CoxeterSystem, tail_cap: int = TAIL_CAP) -> TowerPlan:
+def tower_plan(system: CoxeterSystem) -> TowerPlan:
     roots = root_system(system)
     n = system.rank
-    order = _CHAIN_ORDERS[system.family](n)
-    # W_k, generated by order[:k], is levels[k-1] * W_{k-1}
-    levels = [coset_transversal(roots, order[:k], order[: k - 1]) for k in range(1, n + 1)]
-    # the tail is the largest W_k with at most tail_cap elements
-    e = np.arange(roots.size, dtype=np.intp)[None]
-    tail = (e, e.copy())
-    k = 0
-    while k < n and len(tail[0]) * len(levels[k][0]) <= tail_cap:
-        tail = _products(levels[k], tail)
-        k += 1
-    transversals = levels[k:][::-1]
-    total = len(tail[0])
+    order = tuple(_CHAIN_ORDERS[system.family](n))
+    transversals = [
+        coset_transversal(roots, order[:k], order[: k - 1]) for k in range(1, n + 1)
+    ]
+    total = 1
     for reps, _ in transversals:
         total *= len(reps)
     if total != system.order:
         raise AssertionError("tower decomposition does not cover the group")
-    return TowerPlan(system, roots, tail[0], tail[1], transversals)
-
-
-def leaf_prefixes(plan: TowerPlan, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every product t_top * t_1 * ... * t_low of transversal elements that
-    starts with top-level representative `top`, with inverses, as (K, R)."""
-    if not plan.transversals:
-        e = np.arange(plan.roots.size, dtype=np.intp)[None]
-        return e, e.copy()
-    reps, invs = plan.transversals[0]
-    prefixes = (reps[top : top + 1], invs[top : top + 1])
-    for level in plan.transversals[1:]:
-        prefixes = _products(prefixes, level)
-    return prefixes
+    cox = system.coxeter_matrix
+    watched = tuple(
+        tuple(
+            j
+            for j in range(1, n + 1)
+            if j not in order[:k] and any(cox[i - 1][j - 1] > 2 for i in order[:k])
+        )
+        for k in range(n + 1)
+    )
+    return TowerPlan(system, roots, order, (tuple(range(roots.size)),), transversals, watched)

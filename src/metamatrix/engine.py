@@ -1,33 +1,22 @@
-"""Metamatrix pipelines on numpy: descent-statistics enumeration and the
-brute-force double-coset oracle.  The result tables they return, the
+"""Metamatrix pipelines: descent-statistics enumeration, and the brute-force
+double-coset oracle on numpy.  The result tables they return, the
 closed-form dihedral table and the invariant checks live in `tables`.
 
 The N-table counts elements by (#left ascents, #right ascents); the
 metamatrix is its binomial transform.  Every enumerable group, golden or
-crystallographic, is streamed through the parabolic coset tower as root
-permutations (see `coxeter.root_system`); the oracle keeps its own matrix
-enumeration, so it stays an independent cross-check.
+crystallographic, is counted by a walk up the parabolic coset tower that
+carries a histogram of ascent states (see `_kernels`), in python ints; only
+the oracle, which keeps its own matrix enumeration as an independent
+cross-check, imports numpy, when it runs.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from itertools import combinations
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import _kernels
-from .coxeter import (
-    CoxeterSystem,
-    TowerPlan,
-    _identity_mat,
-    leaf_prefixes,
-    nonneg_grid,
-    ring_matmul,
-    tower_plan,
-)
+from .coxeter import CoxeterSystem, tower_plan
 from .tables import (  # the result tables, kept importable from here
     EnumerationLimit,
     Metamatrix,
@@ -39,97 +28,31 @@ from .tables import (  # the result tables, kept importable from here
     system_label,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Recorded in every cached N-table; bump it when a change to the enumeration
 # could change a table, so entries written by older code are recomputed.
 ENGINE_VERSION = 2
 
-# Upper bound on the products one leaf gather covers (its uint8 work arrays
-# and the bincount index array scale with it).
-GATHER_ELEMENTS = 1 << 18
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def pool_size(requested: int, cosets: int, cpus: int) -> int:
-    """Worker processes worth starting: at most one per usable CPU and one
-    per top-level coset, and at least one."""
-    return max(1, min(requested, cpus, cosets))
-
-
-def _tower_counts(
-    plan: TowerPlan,
-    top_indices: Iterable[int] | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> np.ndarray:
-    """(n+1, n+1) ascent counts of the elements under the given top-level
-    cosets (all of them by default), one top-level coset at a time."""
-    n = plan.system.rank
-    positive = plan.roots.positive
-    tails = np.ascontiguousarray(plan.tail_mats[:, :n])
-    tails_inv_pos = np.ascontiguousarray(positive[plan.tail_invs].T)
-    rows = max(1, GATHER_ELEMENTS // len(tails))
-    tops = range(plan.top_size()) if top_indices is None else list(top_indices)
-    out = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for done, top in enumerate(tops, start=1):
-        pre, pre_inv = leaf_prefixes(plan, top)
-        pre_pos = positive[pre]
-        pre_inv = np.ascontiguousarray(pre_inv[:, :n])
-        for s in range(0, len(pre), rows):
-            _kernels.count_profiles_batch(
-                pre_pos[s : s + rows], pre_inv[s : s + rows], tails, tails_inv_pos, out
-            )
-        if progress is not None:
-            progress(done, len(tops))
-    return out
-
-
-# The plan a pool worker counts under, set once per worker by the pool
-# initializer so it is sent to each worker once, not with every coset.
-_WORKER_PLAN: TowerPlan | None = None
-
-
-def _init_worker(plan: TowerPlan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
-
-
-def _coset_worker(top: int) -> bytes:
-    return _tower_counts(_WORKER_PLAN, [top]).tobytes()
-
 
 def accumulate_ntable(
-    system: CoxeterSystem,
-    workers: int | None = 1,
-    progress: Callable[[int, int], None] | None = None,
+    system: CoxeterSystem, progress: Callable[[int, int], None] | None = None
 ) -> NTable:
-    """Exact N-table from `workers` processes (None: one per usable CPU);
-    deterministic for any worker count.  `progress` is called after each
-    finished top-level coset."""
+    """Exact N-table by the state-histogram walk up the coset tower, one
+    level at a time.  `progress` is called after each level as
+    (levels done, levels)."""
     plan = tower_plan(system)
-    top = plan.top_size()
-    cpus = usable_cpus()
-    procs = pool_size(cpus if workers is None else workers, top, cpus)
-    if procs == 1:
-        counts = _tower_counts(plan, progress=progress)
-    else:
-        n = system.rank
-        counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=procs, initializer=_init_worker, initargs=(plan,)
-        ) as pool:
-            for done, raw in enumerate(pool.map(_coset_worker, range(top)), start=1):
-                counts += np.frombuffer(raw, dtype=np.int64).reshape(n + 1, n + 1)
-                if progress is not None:
-                    progress(done, top)
-    table = NTable(
-        n=system.rank,
-        counts=tuple(tuple(int(x) for x in row) for row in counts),
-    )
+    n = system.rank
+    histogram = {(0, 0, ()): len(plan.tail_mats)}  # W_0 = {e}: no ascents, nothing watched
+    for k in range(1, n + 1):
+        histogram = _kernels.count_profiles_batch(plan, k, histogram)
+        if progress is not None:
+            progress(k, n)
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for (left, right, _), count in histogram.items():
+        counts[left.bit_count()][right] += count
+    table = NTable(n=n, counts=tuple(map(tuple, counts)))
     failure = ntable_invariant_failure(table, system.order)
     if failure is not None:
         label = system_label(system.family, system.rank, system.m)
@@ -137,9 +60,59 @@ def accumulate_ntable(
     return table
 
 
+# --------------------------------------------------------------------------
+# The oracle: every element as a matrix over Z[phi], stored as an integer
+# array of shape (2, n, n) (layer 0 the rational part, layer 1 the phi part);
+# the matrix of w has column j equal to the coordinates of w(alpha_j).
+
+
+def ring_matmul(x, y):
+    """Product of two matrices over Z[phi] (phi^2 = phi + 1) in two-layer
+    representation."""
+    import numpy as np
+
+    a = x[0] @ y[0] + x[1] @ y[1]
+    b = x[0] @ y[1] + x[1] @ y[0] + x[1] @ y[1]
+    return np.stack((a, b))
+
+
+def nonneg_grid(a, b):
+    """Elementwise exact test a + b*phi >= 0 on integer arrays, as
+    `coxeter.is_nonneg` does for one pair."""
+    s = 2 * a + b
+    pos_b = (s >= 0) | (5 * b * b >= s * s)
+    neg_b = (s >= 0) & (s * s >= 5 * b * b)
+    return ((b >= 0) & pos_b) | ((b < 0) & neg_b)
+
+
+def _identity_mat(rank: int):
+    import numpy as np
+
+    out = np.zeros((2, rank, rank), dtype=np.int64)
+    out[0] += np.eye(rank, dtype=np.int64)
+    return out
+
+
+def generator_matrices(system: CoxeterSystem) -> list:
+    """The matrix of each s_i: the identity with row i of the Cartan matrix
+    subtracted from row i."""
+    import numpy as np
+
+    cartan = np.moveaxis(np.array(system.cartan, dtype=np.int64), 2, 0)  # (2, n, n)
+    gens = []
+    for i in range(system.rank):
+        g = _identity_mat(system.rank)
+        g[:, i, :] -= cartan[:, i, :]
+        g.setflags(write=False)
+        gens.append(g)
+    return gens
+
+
 def _keys(stack: np.ndarray) -> list[bytes]:
     """One byte key per element of a (2, N, n, n) stack: the tobytes() of its
     (2, n, n) matrix."""
+    import numpy as np
+
     return [m.tobytes() for m in np.ascontiguousarray(np.moveaxis(stack, 1, 0))]
 
 
@@ -147,9 +120,11 @@ def _matrix_elements(system: CoxeterSystem) -> tuple[np.ndarray, np.ndarray]:
     """Every element as a root-coordinate matrix with its inverse, by
     breadth-first search on right multiplication by generators, one layer at
     a time.  Element w is mats[w], a (2, n, n) matrix, in BFS order."""
+    import numpy as np
+
     n = system.rank
     e = _identity_mat(n)[:, None]
-    gens = np.stack(system.generators, axis=1)[:, None]  # (2, 1, rank, n, n)
+    gens = np.stack(generator_matrices(system), axis=1)[:, None]  # (2, 1, rank, n, n)
     mats, invs = [e], [e]
     seen = set(_keys(e))
     frontier, frontier_inv = e, e
@@ -186,6 +161,8 @@ class GroupTable:
                 f"oracle method limited to groups of order <= {ORACLE_LIMIT} "
                 f"(|W| = {system.order})"
             )
+        import numpy as np
+
         self.system = system
         mats, invs = _matrix_elements(system)
         self.size = len(mats)
@@ -196,8 +173,9 @@ class GroupTable:
             return np.array([index[key] for key in _keys(prod)], dtype=np.intp)
 
         # left_perm[i - 1][w] is the index of s_i * w, right_perm[i - 1][w] of w * s_i
-        self.left_perm = [lookup(ring_matmul(g, stack)) for g in system.generators]
-        self.right_perm = [lookup(ring_matmul(stack, g)) for g in system.generators]
+        gens = generator_matrices(system)
+        self.left_perm = [lookup(ring_matmul(g, stack)) for g in gens]
+        self.right_perm = [lookup(ring_matmul(stack, g)) for g in gens]
         n = system.rank
         right_cols = nonneg_grid(mats[:, 0], mats[:, 1]).all(axis=1)
         left_cols = nonneg_grid(invs[:, 0], invs[:, 1]).all(axis=1)
@@ -227,6 +205,8 @@ def orbit_count(size: int, perms: list[np.ndarray]) -> int:
     Vishkin, J. Algorithms 3, 1982): lab[w] always lies in the orbit of w and
     only falls, and at the fixed point it is constant along every edge, hence
     on every orbit, so each orbit keeps exactly one fixed point lab[w] = w."""
+    import numpy as np
+
     lab = np.arange(size)
     while True:
         new = lab

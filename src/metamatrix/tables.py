@@ -1,9 +1,9 @@
-"""The catalog of supported Coxeter systems and the result tables, with no
-numpy: N-tables, metamatrices, the closed-form dihedral table, the binomial
+"""The catalog of supported Coxeter systems and the result tables:
+N-tables, metamatrices, the closed-form dihedral table, the binomial
 transform and the invariant checks every printed result passes.
 
 `check-tp` and the type-B formula need only this module, so they start
-without importing numpy; `coxeter` and `engine` re-export these names.
+without loading `coxeter` or `engine`, which re-export these names.
 """
 
 from __future__ import annotations

@@ -37,14 +37,16 @@ def scm_table(n: int) -> list[list[int]]:
 
 
 def scm_count_closed(n: int, p: int, q: int) -> int:
-    """|SCM_n(p, q)| for any n from the closed form.  P^{-1} is lower
-    triangular, so T_pq needs only L_ij with i <= p and j <= q: the leading
-    (max(p, q) + 1)-square block of L."""
+    """|SCM_n(p, q)| for any n from the closed form.  P^{-1} has entries
+    (-1)^(p-i) C(p, i), so T_pq = sum over i <= p, j <= q of
+    (-1)^(p-i+q-j) C(p, i) C(q, j) L_ij: O(pq) terms."""
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError("need 0 <= p, q <= n")
-    size = max(p, q) + 1
-    block = [[gscm_count(n, i, j) for j in range(size)] for i in range(size)]
-    return conjugate_by_inverse_pascal(block)[p][q]
+    total = 0
+    for i in range(p + 1):
+        row = sum((-1) ** (q - j) * math.comb(q, j) * gscm_count(n, i, j) for j in range(q + 1))
+        total += (-1) ** (p - i) * math.comb(p, i) * row
+    return total
 
 
 def metamatrix_typeb(n: int) -> Metamatrix:

@@ -6,15 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from definitional import definitional_counts, minimal_reps_count
+from definitional import definitional_counts, gather_counts, minimal_reps_count
 from references import reference_orbit_count
 from metamatrix import engine
-from metamatrix.coxeter import EnumerationLimit, _group_order, build_system, tower_plan
+from metamatrix.coxeter import (
+    _I2_MATRIX_M,
+    _RANKS,
+    EnumerationLimit,
+    _group_order,
+    build_system,
+    system_label,
+)
 from metamatrix.engine import (
     GroupTable,
     Metamatrix,
     NTable,
-    _tower_counts,
     accumulate_ntable,
     dihedral_ntable,
     double_coset_count,
@@ -23,8 +29,6 @@ from metamatrix.engine import (
     metamatrix_invariant_failure,
     ntable_invariant_failure,
     orbit_count,
-    pool_size,
-    usable_cpus,
 )
 from metamatrix.typeb import metamatrix_typeb
 
@@ -98,77 +102,48 @@ class TestTower:
     @pytest.mark.parametrize("family,rank", [("B", 4, ), ("D", 4,), ("A", 4,)])
     def test_multilevel_matches_bfs(self, family, rank):
         system = build_system(family, rank)
-        tower = _tower_counts(tower_plan(system, tail_cap=8))
-        assert tower.tolist() == definitional_counts(system)
+        assert list(map(list, accumulate_ntable(system).counts)) == definitional_counts(system)
 
     def test_f4_matches_bfs(self):
         system = build_system("F", 4)
-        tower = _tower_counts(tower_plan(system, tail_cap=100))
-        assert tower.tolist() == definitional_counts(system)
+        assert list(map(list, accumulate_ntable(system).counts)) == definitional_counts(system)
 
     @pytest.mark.parametrize("family,rank,m", [("H", 3, None), ("I2", 2, 5)])
     def test_golden_tower_matches_definition(self, family, rank, m):
         system = build_system(family, rank, m)
         assert system.golden
-        for cap in (1, 8, 4000):
-            tower = _tower_counts(tower_plan(system, tail_cap=cap))
-            assert tower.tolist() == definitional_counts(system), cap
+        assert list(map(list, accumulate_ntable(system).counts)) == definitional_counts(system)
 
     def test_progress_reported(self):
         calls = []
-        system = build_system("B", 4)
-        _tower_counts(
-            tower_plan(system, tail_cap=8),
-            progress=lambda done, total: calls.append((done, total)),
+        accumulate_ntable(
+            build_system("B", 4), progress=lambda done, total: calls.append((done, total))
         )
-        assert calls and calls[-1][0] == calls[-1][1]
-
-    def test_pool_reports_progress(self, monkeypatch):
-        system = build_system("B", 4)
-        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
-        # a small tail gives several top-level cosets to share out
-        monkeypatch.setattr(engine, "tower_plan", lambda s: tower_plan(s, tail_cap=8))
-        top = tower_plan(system, tail_cap=8).top_size()
-        assert top > 1
-        calls = []
-        table = accumulate_ntable(
-            system, workers=2, progress=lambda done, total: calls.append((done, total))
-        )
-        assert calls == [(done, top) for done in range(1, top + 1)]
-        assert table == accumulate_ntable(system, workers=1)
-
-    def test_default_workers_one_per_cpu(self, monkeypatch):
-        system = build_system("B", 4)
-        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(engine, "tower_plan", lambda s: tower_plan(s, tail_cap=8))
-        requested = []
-        real_pool_size = engine.pool_size
-
-        def recording_pool_size(workers, *rest):
-            requested.append(workers)
-            return real_pool_size(workers, *rest)
-
-        monkeypatch.setattr(engine, "pool_size", recording_pool_size)
-        assert accumulate_ntable(system, workers=None) == accumulate_ntable(system, workers=1)
-        assert requested == [2, 1]
-
-    def test_workers_deterministic(self):
-        system = build_system("B", 6)
-        serial = accumulate_ntable(system, workers=1)
-        assert accumulate_ntable(system, workers=2) == serial
-        assert accumulate_ntable(system, workers=5) == serial
+        assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
 
-class TestPoolSize:
-    def test_huge_request_capped_by_cpus_and_cosets(self):
-        assert pool_size(10**12, cosets=56, cpus=2) == 2
-        assert pool_size(10**12, cosets=3, cpus=64) == 3
-        assert pool_size(10**12, cosets=1, cpus=64) == 1
-        assert 1 <= pool_size(10**12, cosets=240, cpus=usable_cpus()) <= usable_cpus()
+# Every catalog system the oracle can expand: A1-A6, B1-B5, D4, D5, H3, H4,
+# F4 and I2(2..6)
+ORACLE_SYSTEMS = [
+    (family, rank, m)
+    for family, ranks in _RANKS.items()
+    for rank in ranks
+    for m in (sorted(_I2_MATRIX_M) if family == "I2" else [None])
+    if _group_order(family, rank, m) <= engine.ORACLE_LIMIT
+]
 
-    def test_request_below_caps_kept(self):
-        assert pool_size(1, cosets=56, cpus=64) == 1
-        assert pool_size(5, cosets=56, cpus=64) == 5
+
+class TestHistogram:
+    @pytest.mark.parametrize(
+        "family,rank,m", ORACLE_SYSTEMS, ids=[system_label(*s) for s in ORACLE_SYSTEMS]
+    )
+    def test_matches_definition(self, family, rank, m):
+        system = build_system(family, rank, m)
+        assert list(map(list, accumulate_ntable(system).counts)) == definitional_counts(system)
+
+    def test_e7_matches_per_element_gather(self):
+        system = build_system("E", 7)
+        assert list(map(list, accumulate_ntable(system).counts)) == gather_counts(system)
 
 
 class TestInvariants:

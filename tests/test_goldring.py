@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metamatrix.coxeter import nonneg_grid
+from metamatrix.engine import nonneg_grid
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,20 @@ class TestStartWithoutNumpy:
         got = numpy_after(cli_run(["compute", "--family", "B", "--rank", "8"]))
         assert got == {"numpy": False, "code": 0}
 
-    def test_enumeration_imports_numpy(self, tmp_path):
-        args = ["compute", "--family", "A", "--rank", "2", "--method", "enumerate",
-                "--cache-dir", str(tmp_path)]
+    def test_enumeration_modules(self):
+        got = numpy_after("import metamatrix.coxeter, metamatrix.engine, metamatrix._kernels\n"
+                          "code = None")
+        assert got == {"numpy": False, "code": None}
+
+    @pytest.mark.parametrize("command", ["compute", "ntable"])
+    def test_enumeration_leaves_numpy_out(self, tmp_path, command):
+        args = [command, "--family", "E", "--rank", "7", "--cache-dir", str(tmp_path)]
+        if command == "compute":
+            args += ["--method", "enumerate"]
+        assert numpy_after(cli_run(args)) == {"numpy": False, "code": 0}
+
+    def test_oracle_imports_numpy(self):
+        args = ["compute", "--family", "A", "--rank", "2", "--method", "oracle"]
         assert numpy_after(cli_run(args)) == {"numpy": True, "code": 0}
 
 

@@ -154,7 +154,7 @@ class TestScmCounts:
                 assert scm_count_closed(n, p, q) == scm_count(n, p, q), (n, p, q)
 
     def test_closed_count_is_the_table_entry(self):
-        # T_pq needs only the leading (max(p, q) + 1)-square block of L
+        # the O(pq) double sum against the whole conjugated table
         for n in range(1, 13):
             t = scm_table(n)
             for p in range(n + 1):
