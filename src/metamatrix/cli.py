@@ -1,11 +1,10 @@
 """Command-line frontend: compute, check-tp, verify, ntable, scm-count.
 
 Exit codes: 0 success / totally positive, 1 verified negative result,
-2 usage or parse error, 3 resource limit (`engine.ORACLE_LIMIT`, or the E8
-N-table uncached without --allow-long-running), 4 internal error (an
-unexpected exception, reported in one line).  All big integers are read and
-emitted as decimal strings so output is lossless at any magnitude: the CLI
-lifts Python's int/str digit limit when it runs.  Matrices are lists of
+2 usage or parse error, 3 resource limit (`engine.ORACLE_LIMIT`), 4 internal
+error (an unexpected exception, reported in one line).  All big integers are
+read and emitted as decimal strings so output is lossless at any magnitude:
+the CLI lifts Python's int/str digit limit when it runs.  Matrices are lists of
 rows, and `scm-count` answers any n from the closed form.
 
 Only the oracle (`engine.metamatrix_bruteforce`) imports numpy, when it
@@ -122,10 +121,8 @@ def _read_cached(path: Path, system) -> NTable | None:
     return table
 
 
-def _cached_ntable(system, cache: Path, allow_long: bool) -> NTable:
-    """The N-table of `system`, from the cache or computed and then cached.
-    Computing the E8 table is a long-running job: on a cache miss it needs
-    `allow_long`, and it reports progress per tower level on stderr."""
+def _cached_ntable(system, cache: Path) -> NTable:
+    """The N-table of `system`, from the cache or computed and then cached."""
     from . import engine
 
     label = system_label(system.family, system.rank, system.m)
@@ -134,18 +131,7 @@ def _cached_ntable(system, cache: Path, allow_long: bool) -> NTable:
         table = _read_cached(path, system)
         if table is not None:
             return table
-    progress = None
-    if label == "E8":
-        if not allow_long:
-            raise ResourceLimit(
-                "the E8 N-table is not cached and computing it is a long-running job; "
-                "run compute or ntable with --allow-long-running to compute and cache it"
-            )
-
-        def progress(done: int, total: int):
-            click.echo(f"{label}: tower level {done}/{total} done", err=True)
-
-    table = engine.accumulate_ntable(system, progress=progress)
+    table = engine.accumulate_ntable(system)
     try:
         payload = _ntable_payload(system.family, system.rank, system.m, system.order, table)
         _write_atomic(path, json.dumps(payload))
@@ -207,11 +193,11 @@ def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, in
     return fam, rank, None
 
 
-def _enumeration(system, cache: Path, allow_long: bool) -> Metamatrix:
+def _enumeration(system, cache: Path) -> Metamatrix:
     from . import engine
 
     # engine's name for the transform is the one perfbench/tracing.py times
-    return engine.metamatrix_from_ntable(_cached_ntable(system, cache, allow_long))
+    return engine.metamatrix_from_ntable(_cached_ntable(system, cache))
 
 
 def _oracle(system) -> Metamatrix:
@@ -221,9 +207,7 @@ def _oracle(system) -> Metamatrix:
     return engine.metamatrix_bruteforce(system)
 
 
-def _legs(
-    fam: str, rank: int, m: int | None, cache: Path, allow_long: bool
-) -> dict[str, Callable[[], Metamatrix]]:
+def _legs(fam: str, rank: int, m: int | None, cache: Path) -> dict[str, Callable[[], Metamatrix]]:
     """The pipelines that apply to the system, each a zero-argument callable
     that computes its metamatrix: `formula` for B and I2, `enumeration` (from
     the cached N-table) and `oracle` where the system has a matrix
@@ -238,7 +222,7 @@ def _legs(
     else:
         check_catalog(fam, rank, m)
     if fam != "I2" or m in _I2_MATRIX_M:
-        legs["enumeration"] = lambda: _enumeration(build_system(fam, rank, m), cache, allow_long)
+        legs["enumeration"] = lambda: _enumeration(build_system(fam, rank, m), cache)
         legs["oracle"] = lambda: _oracle(build_system(fam, rank, m))
     return legs
 
@@ -314,11 +298,10 @@ _METHODS = {"formula": "formula", "enumerate": "enumeration", "oracle": "oracle"
     help="pipeline (default: formula for B/I2, enumerate otherwise)",
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="pretty")
-@click.option("--allow-long-running", is_flag=True)
-def compute(family, rank, m, cache_dir, method, fmt, allow_long_running):
+def compute(family, rank, m, cache_dir, method, fmt):
     """Compute the metamatrix of a Coxeter group."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    legs = _legs(fam, rank, m, _cache_dir(cache_dir), allow_long_running)
+    legs = _legs(fam, rank, m, _cache_dir(cache_dir))
     if method is None:
         method = "formula" if "formula" in legs else "enumerate"
     leg = legs.get(_METHODS[method])
@@ -429,7 +412,7 @@ def check_tp(source, method):
 def verify(family, rank, m, cache_dir):
     """Cross-check every applicable pipeline and report agreement."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    legs = _legs(fam, rank, m, _cache_dir(cache_dir), allow_long=False)
+    legs = _legs(fam, rank, m, _cache_dir(cache_dir))
     if "oracle" in legs:
         from . import engine
 
@@ -472,14 +455,13 @@ def verify(family, rank, m, cache_dir):
 @main.command()
 @_with_common
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json")
-@click.option("--allow-long-running", is_flag=True)
-def ntable(family, rank, m, cache_dir, fmt, allow_long_running):
+def ntable(family, rank, m, cache_dir, fmt):
     """Compute (and cache) the two-sided ascent-count table."""
     fam, rank, m = _resolve_spec(family, rank, m)
     order = _group_order(fam, rank, m)
     cache = _cache_dir(cache_dir)
-    if "enumeration" in _legs(fam, rank, m, cache, allow_long_running):
-        table = _cached_ntable(build_system(fam, rank, m), cache, allow_long_running)
+    if "enumeration" in _legs(fam, rank, m, cache):
+        table = _cached_ntable(build_system(fam, rank, m), cache)
     else:
         table = dihedral_ntable(m)
     if fmt == "json":

@@ -14,18 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tables import (  # the catalog, kept importable from here
-    _EXCEPTIONAL_ORDERS,
-    _I2_MATRIX_M,
-    _RANKS,
-    EnumerationLimit,
-    UnsupportedSystem,
-    _edges,
-    _group_order,
-    _unsupported,
-    check_catalog,
-    system_label,
-)
+from .tables import _edges, _group_order, check_catalog
 
 _CHAIN_ORDERS = {
     "A": lambda n: list(range(1, n + 1)),
@@ -54,7 +43,6 @@ class CoxeterSystem:
     family: str
     rank: int
     m: int | None
-    golden: bool
     coxeter_matrix: tuple[tuple[int, ...], ...]
     cartan: tuple[tuple[ZPhi, ...], ...]  # cartan[i][j], 0-based nodes
     order: int
@@ -75,7 +63,6 @@ def build_system(family: str, rank: int, m: int | None = None) -> CoxeterSystem:
         family=family,
         rank=rank,
         m=m,
-        golden=any(b for row in cartan for _, b in row),
         coxeter_matrix=tuple(tuple(r) for r in cox),
         cartan=tuple(tuple(r) for r in cartan),
         order=_group_order(family, rank, m),

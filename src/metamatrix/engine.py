@@ -13,17 +13,15 @@ cross-check, imports numpy, when it runs.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import _kernels
 from .coxeter import CoxeterSystem, tower_plan
-from .tables import (  # the result tables, kept importable from here
+from .tables import (
     EnumerationLimit,
     Metamatrix,
     NTable,
-    dihedral_ntable,
-    metamatrix_from_ntable,
-    metamatrix_invariant_failure,
+    metamatrix_from_ntable,  # cli calls it by this name, which perfbench/tracing.py times
     ntable_invariant_failure,
     system_label,
 )
@@ -36,19 +34,14 @@ if TYPE_CHECKING:
 ENGINE_VERSION = 2
 
 
-def accumulate_ntable(
-    system: CoxeterSystem, progress: Callable[[int, int], None] | None = None
-) -> NTable:
+def accumulate_ntable(system: CoxeterSystem) -> NTable:
     """Exact N-table by the state-histogram walk up the coset tower, one
-    level at a time.  `progress` is called after each level as
-    (levels done, levels)."""
+    level at a time."""
     plan = tower_plan(system)
     n = system.rank
     histogram = {(0, 0, ()): len(plan.tail_mats)}  # W_0 = {e}: no ascents, nothing watched
     for k in range(1, n + 1):
         histogram = _kernels.count_profiles_batch(plan, k, histogram)
-        if progress is not None:
-            progress(k, n)
     counts = [[0] * (n + 1) for _ in range(n + 1)]
     for (left, right, _), count in histogram.items():
         counts[left.bit_count()][right] += count
@@ -78,7 +71,8 @@ def ring_matmul(x, y):
 
 def nonneg_grid(a, b):
     """Elementwise exact test a + b*phi >= 0 on integer arrays, as
-    `coxeter.is_nonneg` does for one pair."""
+    `coxeter.is_nonneg` does for one pair.  No pipeline calls it; the tests
+    use it, and perfbench/tracing.py times it by this name."""
     s = 2 * a + b
     pos_b = (s >= 0) | (5 * b * b >= s * s)
     neg_b = (s >= 0) & (s * s >= 5 * b * b)
@@ -116,34 +110,35 @@ def _keys(stack: np.ndarray) -> list[bytes]:
     return [m.tobytes() for m in np.ascontiguousarray(np.moveaxis(stack, 1, 0))]
 
 
-def _matrix_elements(system: CoxeterSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Every element as a root-coordinate matrix with its inverse, by
-    breadth-first search on right multiplication by generators, one layer at
-    a time.  Element w is mats[w], a (2, n, n) matrix, in BFS order."""
+def _matrix_elements(system: CoxeterSystem) -> tuple[np.ndarray, dict[bytes, int], np.ndarray]:
+    """Every element as a root-coordinate matrix, by breadth-first search on
+    right multiplication by generators, one layer at a time.  Element w is
+    mats[w], a (2, n, n) matrix, in BFS order; `index` maps the bytes of
+    mats[w] to w, and right[i - 1][w], recorded as the search meets each
+    product, is the index of w * s_i."""
     import numpy as np
 
     n = system.rank
     e = _identity_mat(n)[:, None]
     gens = np.stack(generator_matrices(system), axis=1)[:, None]  # (2, 1, rank, n, n)
-    mats, invs = [e], [e]
-    seen = set(_keys(e))
-    frontier, frontier_inv = e, e
+    mats, blocks = [e], []
+    index = {_keys(e)[0]: 0}
+    frontier = e
     while frontier.shape[1]:
-        # u * g for every frontier element u and generator g, and inv(u * g) = g * inv(u)
+        # u * s_i for every frontier element u and generator s_i, u-major
         prod = ring_matmul(frontier[:, :, None], gens).reshape(2, -1, n, n)
-        prod_inv = ring_matmul(gens, frontier_inv[:, :, None]).reshape(2, -1, n, n)
-        new = []
+        new, found = [], []
         for k, key in enumerate(_keys(prod)):
-            if key not in seen:
-                seen.add(key)
+            w = index.get(key)
+            if w is None:
+                w = index[key] = len(index)
                 new.append(k)
-        frontier, frontier_inv = prod[:, new], prod_inv[:, new]
+            found.append(w)
+        blocks.append(np.array(found, dtype=np.intp).reshape(-1, n))
+        frontier = prod[:, new]
         mats.append(frontier)
-        invs.append(frontier_inv)
-    return tuple(
-        np.ascontiguousarray(np.moveaxis(np.concatenate(layers, axis=1), 1, 0))
-        for layers in (mats, invs)
-    )
+    mats = np.ascontiguousarray(np.moveaxis(np.concatenate(mats, axis=1), 1, 0))
+    return mats, index, np.ascontiguousarray(np.concatenate(blocks).T)
 
 
 # Largest group order the oracle expands in memory.  H4 (14,400) is under it;
@@ -152,8 +147,8 @@ ORACLE_LIMIT = 20_000
 
 
 class GroupTable:
-    """Fully expanded small group: generator permutations of the element
-    indices, and ascent bitmasks.  Backs the oracle operations."""
+    """Fully expanded small group: the generator permutations of the element
+    indices, which the oracle counts orbits with."""
 
     def __init__(self, system: CoxeterSystem):
         if system.order > ORACLE_LIMIT:
@@ -163,30 +158,15 @@ class GroupTable:
             )
         import numpy as np
 
-        self.system = system
-        mats, invs = _matrix_elements(system)
+        mats, index, right = _matrix_elements(system)
         self.size = len(mats)
         stack = np.moveaxis(mats, 0, 1)
-        index = {key: w for w, key in enumerate(_keys(stack))}
-
-        def lookup(prod: np.ndarray) -> np.ndarray:
-            return np.array([index[key] for key in _keys(prod)], dtype=np.intp)
-
         # left_perm[i - 1][w] is the index of s_i * w, right_perm[i - 1][w] of w * s_i
-        gens = generator_matrices(system)
-        self.left_perm = [lookup(ring_matmul(g, stack)) for g in gens]
-        self.right_perm = [lookup(ring_matmul(stack, g)) for g in gens]
-        n = system.rank
-        right_cols = nonneg_grid(mats[:, 0], mats[:, 1]).all(axis=1)
-        left_cols = nonneg_grid(invs[:, 0], invs[:, 1]).all(axis=1)
-        self.right_masks = [
-            frozenset(j + 1 for j in range(n) if right_cols[w, j])
-            for w in range(self.size)
+        self.left_perm = [
+            np.array([index[key] for key in _keys(ring_matmul(g, stack))], dtype=np.intp)
+            for g in generator_matrices(system)
         ]
-        self.left_masks = [
-            frozenset(j + 1 for j in range(n) if left_cols[w, j])
-            for w in range(self.size)
-        ]
+        self.right_perm = list(right)
 
 
 _TABLE_CACHE: dict[tuple[str, int, int | None], GroupTable] = {}

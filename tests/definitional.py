@@ -1,21 +1,52 @@
-"""Definitional references.  On the oracle's matrix enumeration, every element
-is enumerated as a root-coordinate matrix by the oracle's breadth-first
-search (`engine.GroupTable`), and its ascent sets are read from the signs of
-its columns and of its inverse's columns.  From these come the N-table, for
+"""Definitional references.  On the oracle's group table
+(`engine.GroupTable`), every element's length is its breadth-first distance
+from e under right multiplication by generators, and its ascent sets are
+read from lengths by definition: i is a right (left) ascent of w when
+l(w * s_i) (l(s_i * w)) exceeds l(w).  From these come the N-table, for
 comparison with the enumeration engine, and the minimal double-coset
 representatives, for comparison with the double-coset counts.  Above the
 oracle's limit, `gather_counts` counts the N-table element by element on
 the tower's root permutations."""
 
+from functools import cache
+
 from metamatrix.coxeter import tower_plan
 from metamatrix.engine import group_table
 
 
+@cache
+def ascent_sets(system) -> tuple[list[frozenset], list[frozenset]]:
+    """(left, right): the left and right ascent sets of every element, in
+    the group table's element order, as sets of generators 1..n."""
+    table = group_table(system)
+    left = [perm.tolist() for perm in table.left_perm]
+    right = [perm.tolist() for perm in table.right_perm]
+    length = [-1] * table.size
+    length[0] = 0  # element 0 is e
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for w in frontier:
+            for perm in right:
+                v = perm[w]
+                if length[v] < 0:
+                    length[v] = length[w] + 1
+                    fresh.append(v)
+        frontier = fresh
+
+    def ascents(perms, w):
+        return frozenset(i for i, perm in enumerate(perms, 1) if length[perm[w]] > length[w])
+
+    return (
+        [ascents(left, w) for w in range(table.size)],
+        [ascents(right, w) for w in range(table.size)],
+    )
+
+
 def definitional_counts(system) -> list[list[int]]:
     n = system.rank
-    table = group_table(system)
     counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for left, right in zip(table.left_masks, table.right_masks):
+    for left, right in zip(*ascent_sets(system)):
         counts[len(left)][len(right)] += 1
     return counts
 
@@ -23,13 +54,10 @@ def definitional_counts(system) -> list[list[int]]:
 def minimal_reps_count(system, left, right) -> int:
     """#{w : I contained in L(w), J contained in R(w)}: by the ^I W^J
     bijection, the number of double cosets W_I \\ W / W_J."""
-    table = group_table(system)
     left = frozenset(left)
     right = frozenset(right)
     return sum(
-        1
-        for w in range(table.size)
-        if left <= table.left_masks[w] and right <= table.right_masks[w]
+        1 for lefts, rights in zip(*ascent_sets(system)) if left <= lefts and right <= rights
     )
 
 

@@ -11,13 +11,8 @@ from itertools import chain, combinations
 import golden
 from definitional import minimal_reps_count
 from metamatrix.coxeter import build_system
-from metamatrix.engine import (
-    accumulate_ntable,
-    dihedral_ntable,
-    double_coset_count,
-    metamatrix_bruteforce,
-    metamatrix_from_ntable,
-)
+from metamatrix.engine import accumulate_ntable, double_coset_count, metamatrix_bruteforce
+from metamatrix.tables import dihedral_ntable, metamatrix_from_ntable
 from metamatrix.tp import (
     all_minors_positive,
     fekete_check,

@@ -107,17 +107,6 @@ class TestCompute:
         grid = [[int(x) for x in line.split()] for line in res.output.splitlines()]
         assert grid == golden.H3
 
-    def test_e8_requires_long_running_flag(self, runner, tmp_path):
-        res = runner.invoke(
-            main,
-            [
-                "compute", "--family", "E", "--rank", "8",
-                "--method", "enumerate", "--cache-dir", str(tmp_path),
-            ],
-        )
-        assert res.exit_code == 3
-        assert "--allow-long-running" in res.output
-
     def test_oracle_small_group(self, runner):
         res = runner.invoke(
             main,
@@ -338,8 +327,8 @@ E8_ORDER = 696729600
 
 
 class TestE8Rule:
-    """Computing the E8 N-table needs --allow-long-running; a cached one is
-    served without it."""
+    """E8 is an ordinary system: every command computes and caches its
+    N-table from an empty cache, and serves a cached one without computing."""
 
     # not the E8 table, but it has the N-table invariants of a group of order |E8|
     FAKE = NTable(
@@ -350,7 +339,7 @@ class TestE8Rule:
         ),
     )
 
-    @pytest.fixture(autouse=True)
+    @pytest.fixture
     def no_enumeration(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise RuntimeError("the E8 N-table must not be computed here")
@@ -361,20 +350,27 @@ class TestE8Rule:
         payload = cli._ntable_payload("E", 8, None, E8_ORDER, self.FAKE)
         (cache / "E8.ntable.json").write_text(json.dumps(payload))
 
-    def test_empty_cache_refused_by_every_command(self, runner, tmp_path):
-        errors = []
-        for command in ["compute", "ntable", "verify"]:
-            res = runner.invoke(
-                main, [command, "--family", "E", "--rank", "8", "--cache-dir", str(tmp_path)]
-            )
-            assert res.exit_code == 3, (command, res.output)
-            assert res.stdout == ""
-            errors.append(res.stderr)
-            assert list(tmp_path.iterdir()) == []
-        assert errors[0] == errors[1] == errors[2]
-        assert errors[0].startswith("Error: the E8 N-table is not cached")
-        assert "--allow-long-running" in errors[0]
+    @pytest.mark.parametrize("command", ["compute", "ntable", "verify"])
+    def test_computed_from_empty_cache(self, runner, tmp_path, command):
+        args = [command, "--family", "E", "--rank", "8", "--cache-dir", str(tmp_path)]
+        if command != "verify":
+            args += ["--format", "json"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["E8.ntable.json"]
+        if command == "compute":
+            assert matrix_of(res.stdout) == golden.E8
+        elif command == "ntable":
+            payload = json.loads(res.stdout)
+            assert payload["order"] == str(E8_ORDER)
+            assert json.loads((tmp_path / "E8.ntable.json").read_text()) == payload
+        else:
+            report = json.loads(res.output[: res.output.rindex("}") + 1])
+            assert report["legs"] == ["enumeration"]
+            assert report["agree"] is True
 
+    @pytest.mark.usefixtures("no_enumeration")
     def test_cached_table_served_without_flag(self, runner, tmp_path):
         self.write_fake(tmp_path)
         res = runner.invoke(
@@ -387,6 +383,7 @@ class TestE8Rule:
             list(r) for r in engine.metamatrix_from_ntable(self.FAKE).entries
         ]
 
+    @pytest.mark.usefixtures("no_enumeration")
     def test_verify_runs_enumeration_from_cache(self, runner, tmp_path):
         self.write_fake(tmp_path)
         res = runner.invoke(

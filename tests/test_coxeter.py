@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
 
-from metamatrix.coxeter import (
-    UnsupportedSystem,
-    _group_order,
-    build_system,
-    root_system,
-    tower_plan,
-)
+from definitional import ascent_sets
+from metamatrix.coxeter import build_system, root_system, tower_plan
 from metamatrix.engine import (
     _identity_mat,
     _matrix_elements,
     generator_matrices,
-    group_table,
     nonneg_grid,
     ring_matmul,
 )
+from metamatrix.tables import UnsupportedSystem, _group_order
 
 SMALL_SYSTEMS = [
     ("A", 1, None),
@@ -78,14 +73,27 @@ def tower_matrices(plan, tail_cap):
 
 
 def element_index(system):
-    """The oracle's elements (matrices, inverses) with an index by matrix."""
-    mats, invs = _matrix_elements(system)
-    return mats, invs, {m.tobytes(): i for i, m in enumerate(mats)}
+    """The oracle's index of its elements by the bytes of their matrices."""
+    return _matrix_elements(system)[1]
+
+
+def inverse_index(system):
+    """w -> the index of w^{-1}: the element whose matrix times w's is the
+    identity."""
+    mats = _matrix_elements(system)[0]
+    stack = np.moveaxis(mats, 0, 1)
+    eye = _identity_mat(system.rank)
+    out = []
+    for mat in mats:
+        is_eye = (ring_matmul(stack, mat) == eye[:, None]).all(axis=(0, 2, 3))
+        (v,) = np.flatnonzero(is_eye)
+        out.append(int(v))
+    return out
 
 
 def longest_index(system):
     """The elements with no right ascent (exactly one: the longest)."""
-    return [w for w, asc in enumerate(group_table(system).right_masks) if not asc]
+    return [w for w, asc in enumerate(ascent_sets(system)[1]) if not asc]
 
 
 class TestBuildSystem:
@@ -182,45 +190,37 @@ class TestApplyGenerator:
         s = build_system("A", 2)
         assert np.array_equal(generator_matrices(s)[0][0], np.array([[-1, 1], [0, 1]]))
 
-    def test_inverse_tracking(self):
-        s = build_system("F", 4)
-        eye = _identity_mat(s.rank)
-        for mat, inv in zip(*_matrix_elements(s)):
-            assert np.array_equal(ring_matmul(mat, inv), eye)
-
 
 class TestAscentSets:
     def test_identity(self):
-        t = group_table(build_system("B", 3))
-        assert t.left_masks[0] == t.right_masks[0] == frozenset({1, 2, 3})
+        lefts, rights = ascent_sets(build_system("B", 3))
+        assert lefts[0] == rights[0] == frozenset({1, 2, 3})
 
     def test_longest_b2(self):
         s = build_system("B", 2)
-        t = group_table(s)
+        lefts, rights = ascent_sets(s)
         (w0,) = longest_index(s)
-        assert t.left_masks[w0] == t.right_masks[w0] == frozenset()
+        assert lefts[w0] == rights[w0] == frozenset()
 
     def test_s1_in_b2(self):
         s = build_system("B", 2)
-        t = group_table(s)
-        w = element_index(s)[2][generator_matrices(s)[0].tobytes()]
-        assert t.left_masks[w] == t.right_masks[w] == frozenset({2})
+        lefts, rights = ascent_sets(s)
+        w = element_index(s)[generator_matrices(s)[0].tobytes()]
+        assert lefts[w] == rights[w] == frozenset({2})
 
     @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("A", 3, None)])
     def test_inverse_swaps_sides(self, family, rank, m):
         s = build_system(family, rank, m)
-        t = group_table(s)
-        _, invs, index = element_index(s)
-        for w, inv in enumerate(invs):
-            w_inv = index[inv.tobytes()]
-            assert t.left_masks[w] == t.right_masks[w_inv]
-            assert t.right_masks[w] == t.left_masks[w_inv]
+        lefts, rights = ascent_sets(s)
+        for w, w_inv in enumerate(inverse_index(s)):
+            assert lefts[w] == rights[w_inv]
+            assert rights[w] == lefts[w_inv]
 
 
 class TestLongestElement:
     def test_a1(self):
         s = build_system("A", 1)
-        index = element_index(s)[2]
+        index = element_index(s)
         assert longest_index(s) == [index[generator_matrices(s)[0].tobytes()]]
 
     def test_b2_all_columns_negative(self):
@@ -248,9 +248,8 @@ class TestEnumerateBfs:
     def test_unique_longest(self):
         for family, rank, m in [("B", 3, None), ("H", 3, None), ("A", 2, None)]:
             s = build_system(family, rank, m)
-            t = group_table(s)
             (w0,) = longest_index(s)
-            assert t.left_masks[w0] == frozenset()
+            assert ascent_sets(s)[0][w0] == frozenset()
             mat = _matrix_elements(s)[0][w0]
             assert not nonneg_grid(mat[0], mat[1]).all(axis=0).any()
 
@@ -271,7 +270,7 @@ class TestEnumerateTower:
         s = build_system("B", 4)
         keys = {mat.tobytes() for mat, _ in tower_matrices(tower_plan(s), tail_cap=10)}
         assert len(keys) == s.order
-        assert keys == set(element_index(s)[2])
+        assert keys == set(element_index(s))
 
     @pytest.mark.parametrize(
         "family,rank,m,cap", [("B", 3, None, 1), ("H", 3, None, 8), ("I2", 2, 5, 1)]
@@ -280,7 +279,7 @@ class TestEnumerateTower:
         s = build_system(family, rank, m)
         tower = [mat.tobytes() for mat, _ in tower_matrices(tower_plan(s), tail_cap=cap)]
         assert len(tower) == len(set(tower)) == s.order
-        assert set(tower) == set(element_index(s)[2])
+        assert set(tower) == set(element_index(s))
 
     def test_tower_inverses_consistent(self):
         s = build_system("D", 4)
