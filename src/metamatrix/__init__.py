@@ -3,8 +3,8 @@ total-positivity certification.
 
 The package root exports the pipeline entry points; every other name is
 importable from its module.  Each entry point is imported from its module
-on first access (PEP 562), so importing the package, or a module that needs
-no numpy such as `metamatrix.cli` or `metamatrix.tp`, does not import numpy.
+on first access (PEP 562), so importing the package, or a module such as
+`metamatrix.cli` or `metamatrix.tp`, loads no pipeline it does not use.
 """
 
 import importlib

@@ -7,10 +7,9 @@ read and emitted as decimal strings so output is lossless at any magnitude:
 the CLI lifts Python's int/str digit limit when it runs.  Matrices are lists of
 rows, and `scm-count` answers any n from the closed form.
 
-Only the oracle (`engine.metamatrix_bruteforce`) imports numpy, when it
-runs; `check-tp`, the closed formulas and the enumeration start without it.
-`coxeter` and `engine` are imported on first use, so `check-tp` and the
-formulas do not load them either.
+No command imports numpy.  `coxeter` and `engine` are imported on first
+use, where a command enumerates, runs the oracle or reads the cache, so
+`check-tp` and the formulas do not load them.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def _enumeration(system, cache: Path) -> Metamatrix:
 def _oracle(system) -> Metamatrix:
     from . import engine
 
-    # its group table raises EnumerationLimit above engine.ORACLE_LIMIT
+    # its double-coset table raises EnumerationLimit above engine.ORACLE_LIMIT
     return engine.metamatrix_bruteforce(system)
 
 

@@ -7,7 +7,8 @@ pair (a, b) standing for a + b*phi, so both cases are handled alike.
 Positivity of a root is the exact all-coordinates-nonnegative test.
 
 The enumeration works on root permutations (see `root_system`); the oracle
-builds its own generator matrices from `cartan` (`engine.GroupTable`).
+walks weight orbits with its own reflections from `cartan`
+(`engine.group_table`).
 """
 
 from __future__ import annotations

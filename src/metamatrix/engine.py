@@ -1,22 +1,23 @@
-"""Metamatrix pipelines: descent-statistics enumeration, and the brute-force
-double-coset oracle on numpy.  The result tables they return, the
-closed-form dihedral table and the invariant checks live in `tables`.
+"""Metamatrix pipelines: descent-statistics enumeration, and the double-coset
+oracle.  The result tables they return, the closed-form dihedral table and
+the invariant checks live in `tables`.
 
 The N-table counts elements by (#left ascents, #right ascents); the
 metamatrix is its binomial transform.  Every enumerable group, golden or
 crystallographic, is counted by a walk up the parabolic coset tower that
-carries a histogram of ascent states (see `_kernels`), in python ints; only
-the oracle, which keeps its own matrix enumeration as an independent
-cross-check, imports numpy, when it runs.
+carries a histogram of ascent states (see `_kernels`).  The oracle, an
+independent cross-check that shares nothing with the root system or the
+tower, sums double-coset counts, each counted as chamber points on the
+orbit of a weight.  Both work in python ints; nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from . import _kernels
-from .coxeter import CoxeterSystem, tower_plan
+from .coxeter import CoxeterSystem, is_nonneg, tower_plan
 from .tables import (
     EnumerationLimit,
     Metamatrix,
@@ -25,9 +26,6 @@ from .tables import (
     ntable_invariant_failure,
     system_label,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Recorded in every cached N-table; bump it when a change to the enumeration
 # could change a table, so entries written by older code are recomputed.
@@ -54,158 +52,118 @@ def accumulate_ntable(system: CoxeterSystem) -> NTable:
 
 
 # --------------------------------------------------------------------------
-# The oracle: every element as a matrix over Z[phi], stored as an integer
-# array of shape (2, n, n) (layer 0 the rational part, layer 1 the phi part);
-# the matrix of w has column j equal to the coordinates of w(alpha_j).
+# The oracle: |W_I \ W / W_J| counted on the orbit of a weight, with no element
+# ever enumerated.  A weight is a linear form mu on the root space, written by
+# its values mu_i = mu(alpha_i) over Z[phi] as 2n python ints (the plain
+# parts, then the phi parts): the coordinates in the fundamental weights, up
+# to the scaling of each coroot.  W acts by (w mu)(x) = mu(w^-1 x); since
+# s_i x = x - (row i of cartan) . x * alpha_i, s_i mu = mu - mu_i * cartan[i],
+# which changes coordinate i and the graph neighbours of i only.  The
+# fundamental chamber is {mu_i >= 0 for all i}.  By Chevalley's lemma
+# (Humphreys, Reflection Groups and Coxeter Groups, 1.12) the stabilizer of
+# lambda_J (1 off J, 0 on J) is exactly W_J, so W / W_J is the orbit
+# W lambda_J, and each W_I-orbit on it meets the closed W_I chamber
+# {mu_i >= 0 for all i in I} exactly once.
 
 
-def ring_matmul(x, y):
-    """Product of two matrices over Z[phi] (phi^2 = phi + 1) in two-layer
-    representation."""
-    import numpy as np
-
-    a = x[0] @ y[0] + x[1] @ y[1]
-    b = x[0] @ y[1] + x[1] @ y[0] + x[1] @ y[1]
-    return np.stack((a, b))
+# Largest group order the oracle walks: E6 (51,840), B6, A7 and D6 are under
+# it, D7 (322,560), A8 and B7 are not.
+ORACLE_LIMIT = 60_000
 
 
-def nonneg_grid(a, b):
-    """Elementwise exact test a + b*phi >= 0 on integer arrays, as
-    `coxeter.is_nonneg` does for one pair.  No pipeline calls it; the tests
-    use it, and perfbench/tracing.py times it by this name."""
-    s = 2 * a + b
-    pos_b = (s >= 0) | (5 * b * b >= s * s)
-    neg_b = (s >= 0) & (s * s >= 5 * b * b)
-    return ((b >= 0) & pos_b) | ((b < 0) & neg_b)
+def _chamber_histogram(system: CoxeterSystem, lam: tuple[int, ...]) -> list[int]:
+    """hist[mask]: the points mu of the orbit W lam, for dominant lam, with
+    {i : mu_i >= 0} = mask (bit i - 1 for node i).
 
-
-def _identity_mat(rank: int):
-    import numpy as np
-
-    out = np.zeros((2, rank, rank), dtype=np.int64)
-    out[0] += np.eye(rank, dtype=np.int64)
-    return out
-
-
-def generator_matrices(system: CoxeterSystem) -> list:
-    """The matrix of each s_i: the identity with row i of the Cartan matrix
-    subtracted from row i."""
-    import numpy as np
-
-    cartan = np.moveaxis(np.array(system.cartan, dtype=np.int64), 2, 0)  # (2, n, n)
-    gens = []
-    for i in range(system.rank):
-        g = _identity_mat(system.rank)
-        g[:, i, :] -= cartan[:, i, :]
-        g.setflags(write=False)
-        gens.append(g)
-    return gens
-
-
-def _keys(stack: np.ndarray) -> list[bytes]:
-    """One byte key per element of a (2, N, n, n) stack: the tobytes() of its
-    (2, n, n) matrix."""
-    import numpy as np
-
-    return [m.tobytes() for m in np.ascontiguousarray(np.moveaxis(stack, 1, 0))]
-
-
-def _matrix_elements(system: CoxeterSystem) -> tuple[np.ndarray, dict[bytes, int], np.ndarray]:
-    """Every element as a root-coordinate matrix, by breadth-first search on
-    right multiplication by generators, one layer at a time.  Element w is
-    mats[w], a (2, n, n) matrix, in BFS order; `index` maps the bytes of
-    mats[w] to w, and right[i - 1][w], recorded as the search meets each
-    product, is the index of w * s_i."""
-    import numpy as np
-
+    The walk goes down from lam one step s_i at a time, from mu_i > 0 to
+    s_i mu, which is one reflection further from lam.  Each point other than
+    lam is reached from one parent only, s_i mu for i its first negative
+    coordinate, so the orbit is walked as a tree and needs no visited set.
+    Off-diagonal Cartan entries are <= 0, so s_i raises every neighbour of i
+    and leaves the other coordinates alone: a nonnegative coordinate stays
+    nonnegative, and only the negative neighbours need a sign test.
+    """
     n = system.rank
-    e = _identity_mat(n)[:, None]
-    gens = np.stack(generator_matrices(system), axis=1)[:, None]  # (2, 1, rank, n, n)
-    mats, blocks = [e], []
-    index = {_keys(e)[0]: 0}
-    frontier = e
-    while frontier.shape[1]:
-        # u * s_i for every frontier element u and generator s_i, u-major
-        prod = ring_matmul(frontier[:, :, None], gens).reshape(2, -1, n, n)
-        new, found = [], []
-        for k, key in enumerate(_keys(prod)):
-            w = index.get(key)
-            if w is None:
-                w = index[key] = len(index)
-                new.append(k)
-            found.append(w)
-        blocks.append(np.array(found, dtype=np.intp).reshape(-1, n))
-        frontier = prod[:, new]
-        mats.append(frontier)
-    mats = np.ascontiguousarray(np.moveaxis(np.concatenate(mats, axis=1), 1, 0))
-    return mats, index, np.ascontiguousarray(np.concatenate(blocks).T)
+    steps = [
+        [(j, ca, cb) for j, (ca, cb) in enumerate(row) if j != i and (ca or cb)]
+        for i, row in enumerate(system.cartan)
+    ]
+    below = [(1 << i) - 1 for i in range(n)]
+    # s_i mu has first negative coordinate i only if mu is already
+    # nonnegative on the nodes below i that s_i does not touch
+    untouched = [below[i] & ~sum(1 << j for j, _, _ in steps[i]) for i in range(n)]
+    moves = [
+        [(i, below[i], steps[i]) for i in range(n)
+         if mask >> i & 1 and mask & untouched[i] == untouched[i]]
+        for mask in range(1 << n)
+    ]
+    hist = [0] * (1 << n)
+    stack = [(lam, sum(1 << i for i in range(n) if is_nonneg(lam[i], lam[n + i])))]
+    while stack:
+        mu, mask = stack.pop()
+        hist[mask] += 1
+        for i, low, nbrs in moves[mask]:
+            a, b = mu[i], mu[n + i]
+            if not (a or b):
+                continue  # s_i fixes mu
+            new = list(mu)
+            new[i], new[n + i] = -a, -b
+            new_mask = mask ^ 1 << i
+            for j, ca, cb in nbrs:  # mu_j - mu_i * c_ij, phi^2 = phi + 1
+                x = new[j] = new[j] - a * ca - b * cb
+                y = new[n + j] = new[n + j] - a * cb - b * ca - b * cb
+                if not new_mask >> j & 1 and is_nonneg(x, y):
+                    new_mask |= 1 << j
+            if new_mask & low == low:
+                stack.append((tuple(new), new_mask))
+    return hist
 
 
-# Largest group order the oracle expands in memory.  H4 (14,400) is under it;
-# B6 (46,080) and E6 (51,840) are not.
-ORACLE_LIMIT = 20_000
+def _coset_counts(system: CoxeterSystem) -> list[list[int]]:
+    """counts[J][I] = |W_I \\ W / W_J| over bit masks of nodes: the points of
+    W lambda_J in the closed W_I chamber, the sum of the orbit's histogram
+    over the masks that contain I (one superset-sum pass per node)."""
+    n = system.rank
+    counts = [[system.order]]
+    for right in range(1, 1 << n):
+        lam = tuple(0 if right >> j & 1 else 1 for j in range(n)) + (0,) * n
+        hist = _chamber_histogram(system, lam)
+        for bit in (1 << i for i in range(n)):
+            for mask in range(1 << n):
+                if not mask & bit:
+                    hist[mask] += hist[mask | bit]
+        counts.append(hist)
+    # J empty: |W_I \ W| = |W lambda_I|, the whole orbit walked for I
+    counts[0] += [counts[left][0] for left in range(1, 1 << n)]
+    return counts
 
 
-class GroupTable:
-    """Fully expanded small group: the generator permutations of the element
-    indices, which the oracle counts orbits with."""
-
-    def __init__(self, system: CoxeterSystem):
-        if system.order > ORACLE_LIMIT:
-            raise EnumerationLimit(
-                f"oracle method limited to groups of order <= {ORACLE_LIMIT} "
-                f"(|W| = {system.order})"
-            )
-        import numpy as np
-
-        mats, index, right = _matrix_elements(system)
-        self.size = len(mats)
-        stack = np.moveaxis(mats, 0, 1)
-        # left_perm[i - 1][w] is the index of s_i * w, right_perm[i - 1][w] of w * s_i
-        self.left_perm = [
-            np.array([index[key] for key in _keys(ring_matmul(g, stack))], dtype=np.intp)
-            for g in generator_matrices(system)
-        ]
-        self.right_perm = list(right)
+_TABLE_CACHE: dict[tuple[str, int, int | None], list[list[int]]] = {}
 
 
-_TABLE_CACHE: dict[tuple[str, int, int | None], GroupTable] = {}
-
-
-def group_table(system: CoxeterSystem) -> GroupTable:
+def group_table(system: CoxeterSystem) -> list[list[int]]:
+    """The double-coset counts of `system` as `_coset_counts` lays them out,
+    computed once per system."""
+    if system.order > ORACLE_LIMIT:
+        raise EnumerationLimit(
+            f"oracle method limited to groups of order <= {ORACLE_LIMIT} "
+            f"(|W| = {system.order})"
+        )
     key = (system.family, system.rank, system.m)
     if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = GroupTable(system)
+        _TABLE_CACHE[key] = _coset_counts(system)
     return _TABLE_CACHE[key]
-
-
-def orbit_count(size: int, perms: list[np.ndarray]) -> int:
-    """Number of orbits of the group generated by involutions `perms` of
-    range(size).  Min-label propagation with pointer jumping (Shiloach and
-    Vishkin, J. Algorithms 3, 1982): lab[w] always lies in the orbit of w and
-    only falls, and at the fixed point it is constant along every edge, hence
-    on every orbit, so each orbit keeps exactly one fixed point lab[w] = w."""
-    import numpy as np
-
-    lab = np.arange(size)
-    while True:
-        new = lab
-        for perm in perms:
-            new = np.minimum(new, new[perm])
-        new = new[new]
-        if np.array_equal(new, lab):
-            return int(np.count_nonzero(lab == np.arange(size)))
-        lab = new
 
 
 def double_coset_count(
     system: CoxeterSystem, left: Iterable[int], right: Iterable[int]
 ) -> int:
-    """|W_I \\ W / W_J|: the orbits of the element indices under left
-    multiplication by s_i (i in I) and right multiplication by s_j (j in J)."""
-    table = group_table(system)
-    perms = [table.left_perm[i - 1] for i in left] + [table.right_perm[j - 1] for j in right]
-    return orbit_count(table.size, perms)
+    """|W_I \\ W / W_J| for I = `left` and J = `right`, generators 1..n."""
+    return group_table(system)[_mask(right)][_mask(left)]
+
+
+def _mask(gens: Iterable[int]) -> int:
+    return sum(1 << (i - 1) for i in set(gens))
 
 
 def metamatrix_bruteforce(system: CoxeterSystem) -> Metamatrix:
@@ -223,3 +181,13 @@ def metamatrix_bruteforce(system: CoxeterSystem) -> Metamatrix:
             row.append(total)
         entries.append(tuple(row))
     return Metamatrix(n=n, entries=tuple(entries), provenance="oracle")
+
+
+def nonneg_grid(a, b):
+    """Elementwise exact test a + b*phi >= 0 on integer arrays, as
+    `coxeter.is_nonneg` does for one pair.  No pipeline calls it; the tests
+    use it, and perfbench/tracing.py times it by this name."""
+    s = 2 * a + b
+    pos_b = (s >= 0) | (5 * b * b >= s * s)
+    neg_b = (s >= 0) & (s * s >= 5 * b * b)
+    return ((b >= 0) & pos_b) | ((b < 0) & neg_b)

@@ -1,6 +1,6 @@
 """Slow, definitional references that the tests compare the closed forms of
 `metamatrix.typeb`, `metamatrix.exactlinear` and `metamatrix.tp`, and the
-oracle's orbit labels in `metamatrix.engine`, against.  Nothing in the
+orbit labels of `definitional.orbit_count`, against.  Nothing in the
 package calls these.
 
 Matrices are lists of rows, as in the package.  The exhaustive enumeration

@@ -117,7 +117,7 @@ class TestCompute:
 
     def test_oracle_limit(self, runner):
         res = runner.invoke(
-            main, ["compute", "--family", "B", "--rank", "6", "--method", "oracle"]
+            main, ["compute", "--family", "B", "--rank", "7", "--method", "oracle"]
         )
         assert res.exit_code == 3
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from definitional import ascent_sets
-from metamatrix.coxeter import build_system, root_system, tower_plan
-from metamatrix.engine import (
+from definitional import (
     _identity_mat,
     _matrix_elements,
+    ascent_sets,
     generator_matrices,
-    nonneg_grid,
     ring_matmul,
 )
+from metamatrix.coxeter import build_system, root_system, tower_plan
+from metamatrix.engine import nonneg_grid
 from metamatrix.tables import UnsupportedSystem, _group_order
 
 SMALL_SYSTEMS = [

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from definitional import definitional_counts, gather_counts, minimal_reps_count
+from definitional import (
+    REFERENCE_LIMIT,
+    coset_counts,
+    definitional_counts,
+    gather_counts,
+    group_table,
+    minimal_reps_count,
+    orbit_coset_count,
+    orbit_count,
+)
 from references import reference_orbit_count
 from metamatrix import engine
 from metamatrix.coxeter import build_system
-from metamatrix.engine import (
-    GroupTable,
-    accumulate_ntable,
-    double_coset_count,
-    group_table,
-    metamatrix_bruteforce,
-    orbit_count,
-)
+from metamatrix.engine import accumulate_ntable, double_coset_count, metamatrix_bruteforce
 from metamatrix.tables import (
     _I2_MATRIX_M,
     _RANKS,
@@ -37,6 +39,10 @@ from metamatrix.typeb import metamatrix_typeb
 def subsets(n):
     items = range(1, n + 1)
     return chain.from_iterable(combinations(items, k) for k in range(n + 1))
+
+
+def mask(gens):
+    return sum(1 << (i - 1) for i in gens)
 
 
 def enumerated_metamatrix(family, rank, m=None):
@@ -116,21 +122,20 @@ class TestTower:
         assert list(map(list, accumulate_ntable(system).counts)) == definitional_counts(system)
 
 
-# Every catalog system the oracle can expand: A1-A6, B1-B5, D4, D5, H3, H4,
-# F4 and I2(2..6)
-ORACLE_SYSTEMS = [
+# Every catalog system the tests' reference can expand: A1-A6, B1-B5, D4, D5,
+# H3, H4, F4 and I2(2..6)
+REFERENCE_SYSTEMS = [
     (family, rank, m)
     for family, ranks in _RANKS.items()
     for rank in ranks
     for m in (sorted(_I2_MATRIX_M) if family == "I2" else [None])
-    if _group_order(family, rank, m) <= engine.ORACLE_LIMIT
+    if _group_order(family, rank, m) <= REFERENCE_LIMIT
 ]
+REFERENCE_IDS = [system_label(*s) for s in REFERENCE_SYSTEMS]
 
 
 class TestHistogram:
-    @pytest.mark.parametrize(
-        "family,rank,m", ORACLE_SYSTEMS, ids=[system_label(*s) for s in ORACLE_SYSTEMS]
-    )
+    @pytest.mark.parametrize("family,rank,m", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
     def test_matches_definition(self, family, rank, m):
         system = build_system(family, rank, m)
         assert list(map(list, accumulate_ntable(system).counts)) == definitional_counts(system)
@@ -212,9 +217,18 @@ class TestOracle:
         system = build_system(family, rank, m)
         for left in subsets(rank):
             for right in subsets(rank):
-                assert minimal_reps_count(system, left, right) == double_coset_count(
-                    system, left, right
-                ), (left, right)
+                expected = minimal_reps_count(system, left, right)
+                assert orbit_coset_count(system, left, right) == expected, (left, right)
+                assert double_coset_count(system, left, right) == expected, (left, right)
+
+    @pytest.mark.parametrize("family,rank,m", REFERENCE_SYSTEMS, ids=REFERENCE_IDS)
+    def test_every_pair_matches_definition(self, family, rank, m):
+        system = build_system(family, rank, m)
+        expected = coset_counts(system)
+        for left in subsets(rank):
+            for right in subsets(rank):
+                got = double_coset_count(system, left, right)
+                assert got == expected[mask(right)][mask(left)], (left, right)
 
     def test_empty_margins_give_group_order(self):
         system = build_system("B", 3)
@@ -229,14 +243,14 @@ class TestOracle:
         assert double_coset_count(build_system("B", 2), (1,), ()) == 4
 
     def test_limit_enforced_before_enumeration(self, monkeypatch):
-        def enumerate_elements(system):
-            raise AssertionError("enumerated a group over the oracle limit")
+        def walk(system, lam):
+            raise AssertionError("walked a group over the oracle limit")
 
-        monkeypatch.setattr(engine, "_matrix_elements", enumerate_elements)
-        system = build_system("B", 6)
+        monkeypatch.setattr(engine, "_chamber_histogram", walk)
+        system = build_system("B", 7)
         assert system.order > engine.ORACLE_LIMIT
         with pytest.raises(EnumerationLimit):
-            GroupTable(system)
+            engine.group_table(system)
 
 
 class TestGroupTable:
@@ -312,7 +326,9 @@ class TestBruteforce:
         got = metamatrix_bruteforce(build_system("I2", 2, m=5))
         assert [list(r) for r in got.entries] == golden.dihedral_metamatrix(5)
 
-    @pytest.mark.parametrize("family,rank", [("A", 6), ("D", 5)])
+    @pytest.mark.parametrize(
+        "family,rank", [("A", 6), ("D", 5), ("E", 6), ("B", 6), ("D", 6), ("A", 7)]
+    )
     def test_equals_enumeration(self, family, rank):
         assert metamatrix_bruteforce(build_system(family, rank)) == enumerated_metamatrix(
             family, rank

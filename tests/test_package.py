@@ -1,6 +1,6 @@
-"""The package surface: the lazy package root, start-up without numpy for
-the commands that need none, and the entry points that the benchmark's
-traced run wraps by name (`perfbench/tracing.py`)."""
+"""The package surface: the lazy package root, every command run without
+numpy, and the entry points that the benchmark's traced run wraps by name
+(`perfbench/tracing.py`)."""
 
 import importlib
 import importlib.util
@@ -125,9 +125,15 @@ class TestStartWithoutNumpy:
             args += ["--method", "enumerate"]
         assert numpy_after(cli_run(args)) == {"numpy": False, "code": 0}
 
-    def test_oracle_imports_numpy(self):
-        args = ["compute", "--family", "A", "--rank", "2", "--method", "oracle"]
-        assert numpy_after(cli_run(args)) == {"numpy": True, "code": 0}
+    @pytest.mark.parametrize(
+        "args",
+        [["verify", "--family", "D", "--rank", "5"],
+         ["compute", "--family", "H", "--rank", "4", "--method", "oracle"]],
+        ids=["verify-D5", "compute-H4-oracle"],
+    )
+    def test_oracle_leaves_numpy_out(self, tmp_path, args):
+        got = numpy_after(cli_run(args + ["--cache-dir", str(tmp_path)]))
+        assert got == {"numpy": False, "code": 0}
 
 
 @pytest.fixture(scope="module")
