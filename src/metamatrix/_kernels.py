@@ -22,7 +22,7 @@ of the mask stands for node j.
 from __future__ import annotations
 
 SHIFT = 4  # a state's (mask, #right ascents) packs into mask << SHIFT | count
-COUNT = (1 << SHIFT) - 1  # ranks are at most 8 < 2**SHIFT
+COUNT = (1 << SHIFT) - 1  # any rank up to 15 packs: #right ascents <= rank <= COUNT
 
 
 def count_profiles_batch(plan, k: int, histogram: dict) -> dict:

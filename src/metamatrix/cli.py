@@ -7,6 +7,11 @@ read and emitted as decimal strings so output is lossless at any magnitude:
 the CLI lifts Python's int/str digit limit when it runs.  Matrices are lists of
 rows, and `scm-count` answers any n from the closed form.
 
+`_legs` alone chooses a system's pipelines: `formula` for B at any rank and
+I2 at any m, `enumeration` and `oracle` where the catalog has the system.
+N-tables are cached only under `--cache-dir`; without it a run writes
+nothing, so what it does depends on its arguments alone.
+
 No command imports numpy.  `coxeter` and `engine` are imported on first
 use, where a command enumerates, runs the oracle or reads the cache, so
 `check-tp` and the formulas do not load them.
@@ -25,7 +30,6 @@ import click
 
 from . import tp, typeb
 from .tables import (
-    _I2_MATRIX_M,
     _RANKS,
     EnumerationLimit,
     Metamatrix,
@@ -34,14 +38,12 @@ from .tables import (
     _group_order,
     check_catalog,
     dihedral_ntable,
+    in_catalog,
     metamatrix_from_ntable,
     metamatrix_invariant_failure,
     ntable_invariant_failure,
     system_label,
 )
-
-DEFAULT_CACHE_DIR = "~/.metamatrix-cache"
-
 
 class ResourceLimit(click.ClickException):
     exit_code = 3
@@ -56,15 +58,6 @@ class NegativeResult(click.ClickException):
 
 class InternalError(click.ClickException):
     exit_code = 4
-
-
-def _cache_dir(option_value: str | None) -> Path:
-    if option_value:
-        return Path(option_value)
-    env = os.environ.get("METAMATRIX_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(DEFAULT_CACHE_DIR).expanduser()
 
 
 def build_system(family: str, rank: int, m: int | None = None):
@@ -120,12 +113,15 @@ def _read_cached(path: Path, system) -> NTable | None:
     return table
 
 
-def _cached_ntable(system, cache: Path) -> NTable:
-    """The N-table of `system`, from the cache or computed and then cached."""
+def _cached_ntable(system, cache: str | None) -> NTable:
+    """The N-table of `system`: computed when no cache directory is given,
+    else read from it or computed and then cached there."""
     from . import engine
 
+    if not cache:
+        return engine.accumulate_ntable(system)
     label = system_label(system.family, system.rank, system.m)
-    path = cache / f"{label}.ntable.json"
+    path = Path(cache) / f"{label}.ntable.json"
     if path.exists():
         table = _read_cached(path, system)
         if table is not None:
@@ -192,7 +188,7 @@ def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, in
     return fam, rank, None
 
 
-def _enumeration(system, cache: Path) -> Metamatrix:
+def _enumeration(system, cache: str | None) -> Metamatrix:
     from . import engine
 
     # engine's name for the transform is the one perfbench/tracing.py times
@@ -206,23 +202,22 @@ def _oracle(system) -> Metamatrix:
     return engine.metamatrix_bruteforce(system)
 
 
-def _legs(fam: str, rank: int, m: int | None, cache: Path) -> dict[str, Callable[[], Metamatrix]]:
+def _legs(fam: str, rank: int, m: int | None, cache: str | None) -> dict[str, Callable[[], Metamatrix]]:
     """The pipelines that apply to the system, each a zero-argument callable
-    that computes its metamatrix: `formula` for B and I2, `enumeration` (from
-    the cached N-table) and `oracle` where the system has a matrix
-    realization.  A system with no formula must be in the catalog, or this
-    raises UnsupportedSystem; a B rank beyond the catalog surfaces as
-    UnsupportedSystem when a matrix leg builds the system."""
+    that computes its metamatrix: `formula` for B at any rank and I2 at any
+    m, `enumeration` (from the N-table, cached under `cache` when given) and
+    `oracle` exactly when the system is `in_catalog`.  A system with no
+    pipeline raises UnsupportedSystem."""
     legs = {}
     if fam == "B":
         legs["formula"] = lambda: typeb.metamatrix_typeb(rank)
     elif fam == "I2":
         legs["formula"] = lambda: metamatrix_from_ntable(dihedral_ntable(m), provenance="formula")
-    else:
-        check_catalog(fam, rank, m)
-    if fam != "I2" or m in _I2_MATRIX_M:
+    if in_catalog(fam, rank, m):
         legs["enumeration"] = lambda: _enumeration(build_system(fam, rank, m), cache)
         legs["oracle"] = lambda: _oracle(build_system(fam, rank, m))
+    if not legs:
+        check_catalog(fam, rank, m)  # raises, with the catalog
     return legs
 
 
@@ -274,7 +269,7 @@ _common = [
         expose_value=False,
         help="accepted for compatibility; has no effect (the enumeration runs in one process)",
     ),
-    click.option("--cache-dir", default=None, help="N-table cache directory"),
+    click.option("--cache-dir", default=None, help="N-table cache directory (default: none)"),
 ]
 
 
@@ -300,7 +295,7 @@ _METHODS = {"formula": "formula", "enumerate": "enumeration", "oracle": "oracle"
 def compute(family, rank, m, cache_dir, method, fmt):
     """Compute the metamatrix of a Coxeter group."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    legs = _legs(fam, rank, m, _cache_dir(cache_dir))
+    legs = _legs(fam, rank, m, cache_dir)
     if method is None:
         method = "formula" if "formula" in legs else "enumerate"
     leg = legs.get(_METHODS[method])
@@ -409,9 +404,10 @@ def check_tp(source, method):
 @main.command()
 @_with_common
 def verify(family, rank, m, cache_dir):
-    """Cross-check every applicable pipeline and report agreement."""
+    """Cross-check every applicable pipeline and report agreement; a system
+    with one pipeline is reported as such, with nothing compared."""
     fam, rank, m = _resolve_spec(family, rank, m)
-    legs = _legs(fam, rank, m, _cache_dir(cache_dir))
+    legs = _legs(fam, rank, m, cache_dir)
     if "oracle" in legs:
         from . import engine
 
@@ -440,11 +436,13 @@ def verify(family, rank, m, cache_dir):
         "rank": rank,
         "m": m,
         "legs": names,
-        "agree": first_diff is None,
+        "agree": first_diff is None if len(names) > 1 else None,
         "first_difference": first_diff,
     }
     click.echo(json.dumps(report, indent=2))
-    if first_diff is None:
+    if len(names) == 1:
+        click.echo(f"{system_label(fam, rank, m)}: {reference_name} (one leg, nothing compared)")
+    elif first_diff is None:
         click.echo(f"{system_label(fam, rank, m)}: {' = '.join(names)} (all legs agree)")
     else:
         click.echo(f"{system_label(fam, rank, m)}: pipelines disagree at {first_diff['entry']}")
@@ -455,14 +453,14 @@ def verify(family, rank, m, cache_dir):
 @_with_common
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json")
 def ntable(family, rank, m, cache_dir, fmt):
-    """Compute (and cache) the two-sided ascent-count table."""
+    """Compute the two-sided ascent-count table: I2 from its closed form,
+    every other system by enumeration (cached under --cache-dir)."""
     fam, rank, m = _resolve_spec(family, rank, m)
     order = _group_order(fam, rank, m)
-    cache = _cache_dir(cache_dir)
-    if "enumeration" in _legs(fam, rank, m, cache):
-        table = _cached_ntable(build_system(fam, rank, m), cache)
-    else:
+    if fam == "I2":
         table = dihedral_ntable(m)
+    else:
+        table = _cached_ntable(build_system(fam, rank, m), cache_dir)
     if fmt == "json":
         click.echo(json.dumps(_ntable_payload(fam, rank, m, order, table), indent=2))
     else:

@@ -109,10 +109,15 @@ def _unsupported(family: str, rank: int, m: int | None) -> UnsupportedSystem:
     )
 
 
+def in_catalog(family: str, rank: int, m: int | None) -> bool:
+    """Whether the catalog has a matrix realization of the system (`family`
+    in upper case)."""
+    return rank in _RANKS.get(family, ()) and (family != "I2" or m in _I2_MATRIX_M)
+
+
 def check_catalog(family: str, rank: int, m: int | None) -> None:
-    """Raise UnsupportedSystem unless the catalog has a matrix realization of
-    the system (`family` in upper case)."""
-    if rank not in _RANKS.get(family, ()) or (family == "I2" and m not in _I2_MATRIX_M):
+    """Raise UnsupportedSystem unless the system is `in_catalog`."""
+    if not in_catalog(family, rank, m):
         raise _unsupported(family, rank, m)
 
 

@@ -183,18 +183,6 @@ def fekete_check(a) -> TPCertificate:
     return TPCertificate("totally-positive", "fekete", checked, None)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    upper_triangular: bool
-    diagonal: tuple[Fraction, ...]
-    diagonal_positive: bool
-    reconstructs: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.upper_triangular and self.diagonal_positive and self.reconstructs
-
-
 def _half_node_diagonal(n: int) -> tuple[Fraction, ...]:
     """D_kk = 2^k e_{n-k}(1/2, 3/2, ..., n-1/2) / n!, the coefficient of s^k
     in C(s + n - 1/2, n) times 2^k.  With u_p = p + 1/2 and s = 2 u_p u_q,
@@ -209,35 +197,30 @@ def _half_node_diagonal(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c * 4**k, scale) for k, c in enumerate(coeffs))
 
 
-def gauss_decomposition_typeb(
-    n: int,
-) -> tuple[list[list[Fraction]], tuple[Fraction, ...], DecompositionReport]:
+def gauss_decomposition_typeb(n: int) -> tuple[list[list[Fraction]], tuple[Fraction, ...]]:
     """Factor the signed-contingency table as Q * D * Q^t with Q = P^{-1} * V
     upper triangular and D positive diagonal, both in closed form.  Returns
-    Q as rows, the diagonal of D, and the report.
+    Q as rows and the diagonal of D.
 
     Q is invertible (its diagonal is 0!, 1!, ..., n!), so the exact
     reconstruction Q * D * Q^t = T alone proves T congruent to the diagonal
-    D.  Any failed structural assertion is a fatal defect and raises.
+    D.  Any failed structural check is a fatal defect and raises
+    AssertionError.
     """
     if n < 1:
         raise ValueError("n must be positive")
     q = inverse_pascal_times(vandermonde_half_nodes(n))
     diag = _half_node_diagonal(n)
-    upper = all(q[i][j] == 0 for i in range(n + 1) for j in range(i))
+    if any(q[i][j] != 0 for i in range(n + 1) for j in range(i)):
+        raise AssertionError(f"type-B factorization: Q is not upper triangular (n={n})")
+    if any(x <= 0 for x in diag):
+        raise AssertionError(f"type-B factorization: D has a nonpositive entry (n={n})")
     # with Q upper triangular, (Q D Q^t)_ij = sum over k >= max(i, j) of Q_ik D_kk Q_jk
     table = scm_table(n)
-    reconstructs = all(
-        sum(q[i][k] * diag[k] * q[j][k] for k in range(max(i, j), n + 1)) == table[i][j]
-        for i in range(n + 1)
-        for j in range(n + 1)
-    )
-    report = DecompositionReport(
-        upper_triangular=upper,
-        diagonal=diag,
-        diagonal_positive=all(x > 0 for x in diag),
-        reconstructs=reconstructs,
-    )
-    if not report.ok:
-        raise AssertionError(f"type-B factorization failed structurally: {report}")
-    return q, diag, report
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if sum(q[i][k] * diag[k] * q[j][k] for k in range(max(i, j), n + 1)) != table[i][j]:
+                raise AssertionError(
+                    f"type-B factorization: Q D Q^t differs from the table at ({i}, {j}) (n={n})"
+                )
+    return q, diag

@@ -72,6 +72,17 @@ class TestCompute:
         ]
 
     @pytest.mark.parametrize("method", ["enumerate", "oracle"])
+    def test_matrix_methods_unavailable_for_b9(self, runner, tmp_path, method):
+        res = runner.invoke(
+            main,
+            ["compute", "--family", "B", "--rank", "9", "--method", method,
+             "--cache-dir", str(tmp_path)],
+        )
+        assert res.exit_code == 2
+        assert f"--method {method} does not apply to B9; use --method formula" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["enumerate", "oracle"])
     def test_matrix_methods_unavailable_for_i2_7(self, runner, tmp_path, method):
         res = runner.invoke(
             main,
@@ -189,11 +200,21 @@ class TestCache:
         assert res.exit_code == 0
         assert matrix_of(res.output) == [list(r) for r in metamatrix_typeb(3).entries]
 
-    def test_env_var_cache_dir(self, runner, tmp_path):
-        args = [a for a in self.args(tmp_path) if a not in ("--cache-dir", str(tmp_path))]
-        res = runner.invoke(main, args, env={"METAMATRIX_CACHE_DIR": str(tmp_path)})
+    @pytest.mark.parametrize(
+        "args",
+        [["compute", "--method", "enumerate"], ["verify"], ["ntable"]],
+        ids=["compute", "verify", "ntable"],
+    )
+    def test_nothing_written_without_cache_dir(self, runner, tmp_path, monkeypatch, args):
+        home, cwd = tmp_path / "home", tmp_path / "cwd"
+        home.mkdir()
+        cwd.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(cwd)
+        res = runner.invoke(main, args + ["--family", "B", "--rank", "3"])
         assert res.exit_code == 0
-        assert (tmp_path / "B3.ntable.json").exists()
+        assert res.stderr == ""
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cwd", "home"]
 
 
 class TestCheckTp:
@@ -306,8 +327,20 @@ class TestVerify:
         assert res.exit_code == 0
         report = json.loads(res.output[: res.output.rindex("}") + 1])
         assert report["legs"] == ["formula"]
-        assert report["agree"] is True
-        assert "I2m7: formula (all legs agree)" in res.output
+        assert report["agree"] is None
+        assert report["first_difference"] is None
+        assert "I2m7: formula (one leg, nothing compared)" in res.output
+
+    def test_b9_formula_beyond_catalog(self, runner, tmp_path):
+        res = runner.invoke(
+            main, ["verify", "--family", "B", "--rank", "9", "--cache-dir", str(tmp_path)]
+        )
+        assert res.exit_code == 0
+        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        assert report["legs"] == ["formula"]
+        assert report["agree"] is None
+        assert "B9: formula (one leg, nothing compared)" in res.output
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["verify", "ntable"])
     def test_unsupported_rank_lists_catalog(self, runner, tmp_path, command):
@@ -321,6 +354,17 @@ class TestVerify:
             "Error: unsupported Coxeter system family='H' rank=5 m=None; supported: "
             "A1-A8, B1-B8, D4-D8, I2(m) for m in {2,3,4,5,6}, H3, H4, F4, E6, E7, E8"
         ]
+
+    def test_ntable_b9_lists_catalog(self, runner, tmp_path):
+        res = runner.invoke(
+            main, ["ntable", "--family", "B", "--rank", "9", "--cache-dir", str(tmp_path)]
+        )
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            "Error: unsupported Coxeter system family='B' rank=9 m=None; supported: "
+            "A1-A8, B1-B8, D4-D8, I2(m) for m in {2,3,4,5,6}, H3, H4, F4, E6, E7, E8"
+        ]
+        assert list(tmp_path.iterdir()) == []
 
 
 E8_ORDER = 696729600
@@ -368,7 +412,8 @@ class TestE8Rule:
         else:
             report = json.loads(res.output[: res.output.rindex("}") + 1])
             assert report["legs"] == ["enumeration"]
-            assert report["agree"] is True
+            assert report["agree"] is None
+            assert "E8: enumeration (one leg, nothing compared)" in res.stdout
 
     @pytest.mark.usefixtures("no_enumeration")
     def test_cached_table_served_without_flag(self, runner, tmp_path):
@@ -392,7 +437,7 @@ class TestE8Rule:
         assert res.exit_code == 0
         report = json.loads(res.output[: res.output.rindex("}") + 1])
         assert report["legs"] == ["enumeration"]
-        assert report["agree"] is True
+        assert report["agree"] is None
 
 
 class TestNtableCommand:
