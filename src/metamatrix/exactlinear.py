@@ -2,47 +2,52 @@
 ``fractions.Fraction``.
 
 Matrices are lists of rows everywhere in the package.  `Matrix` remains
-only as the argument type of `bareiss_det`: it is built with
-`Matrix.from_rows` and read by `bareiss_det`, and holds nothing else.
+only as the argument type of `bareiss_det`: it holds the rows it is built
+from with `Matrix.from_rows`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Scalar = int | Fraction
 
 
 class Matrix:
-    """Immutable dense matrix over exact rationals, row-major."""
+    """A matrix as its rows of ints or Fractions."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: int, cols: int, data: Iterable[Scalar]):
+    def __init__(self, rows: Sequence[Sequence[Scalar]]):
         self.rows = rows
-        self.cols = cols
-        self._data = tuple(Fraction(x) for x in data)
-        if len(self._data) != rows * cols:
-            raise ValueError("data length does not match shape")
 
     @classmethod
     def from_rows(cls, grid: Sequence[Sequence[Scalar]]) -> "Matrix":
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        if any(len(r) != cols for r in grid):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, [x for r in grid for x in r])
+        return cls(grid)
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self._data[i * self.cols + j]
+
+def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
+    """The rows of the square matrix `a` (rows of ints or Fractions) scaled to
+    integers, each by the lcm of its denominators, with those scales.  A
+    k x k minor of the scaled matrix is the minor of `a` times the product of
+    its rows' scales, so it has the same sign."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("square matrix required")
+    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+    grid = [
+        [x.numerator * (scale // x.denominator) for x in row]
+        for row, scale in zip(a, scales)
+    ]
+    return grid, scales
 
 
 def _bareiss_int(grid: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (destructive)."""
     n = len(grid)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -67,24 +72,10 @@ def _bareiss_int(grid: list[list[int]]) -> int:
 
 
 def bareiss_det(a: Matrix) -> Fraction:
-    """Exact determinant via Bareiss elimination.
-
-    Rational input is handled by clearing denominators column-wise first, so
-    the elimination itself stays over the integers.
-    """
-    if a.rows != a.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = a.rows
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    cols_scaled: list[list[int]] = []
-    for j in range(n):
-        d = math.lcm(*(a[i, j].denominator for i in range(n)))
-        scale *= d
-        cols_scaled.append([int(a[i, j] * d) for i in range(n)])
-    grid = [[cols_scaled[j][i] for j in range(n)] for i in range(n)]
-    return Fraction(_bareiss_int(grid)) / scale
+    """Exact determinant by Bareiss elimination on the integer-scaled rows,
+    divided by the product of the row scales."""
+    grid, scales = _integer_rows(a.rows)
+    return Fraction(_bareiss_int(grid), math.prod(scales))
 
 
 def vandermonde_half_nodes(n: int) -> list[list[Fraction]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactlinear import _bareiss_int, inverse_pascal_times, vandermonde_half_nodes
+from .exactlinear import _bareiss_int, _integer_rows, inverse_pascal_times, vandermonde_half_nodes
 from .typeb import scm_table
 
 ALL_MINORS_SIZE_CAP = 12
@@ -42,21 +42,6 @@ class TPCertificate:
     @property
     def is_totally_positive(self) -> bool:
         return self.verdict == "totally-positive"
-
-
-def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
-    """The rows of the square matrix `a` (rows of ints or Fractions) scaled to
-    integers, each by the lcm of its denominators, with those scales.  A
-    k x k minor of the scaled matrix is the minor of `a` times the product of
-    its rows' scales, so it has the same sign."""
-    if any(len(row) != len(a) for row in a):
-        raise ValueError("total positivity is defined for square matrices here")
-    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
-    grid = [
-        [x.numerator * (scale // x.denominator) for x in row]
-        for row, scale in zip(a, scales)
-    ]
-    return grid, scales
 
 
 def _all_minors(grid: list[list[int]]):

@@ -1,7 +1,6 @@
 """Slow, definitional references that the tests compare the closed forms of
-`metamatrix.typeb`, `metamatrix.exactlinear` and `metamatrix.tp`, and the
-orbit labels of `definitional.orbit_count`, against.  Nothing in the
-package calls these.
+`metamatrix.typeb`, `metamatrix.exactlinear` and `metamatrix.tp` against.
+Nothing in the package calls these.
 
 Matrices are lists of rows, as in the package.  The exhaustive enumeration
 of signed contingency matrices below is the reference for the closed-form
@@ -326,22 +325,3 @@ def verify_root_identity(n: int, k: int, x) -> bool:
         rhs *= x + j
     return lhs == rhs
 
-
-def reference_orbit_count(size: int, perms) -> int:
-    """Orbits of the permutations `perms` (sequences) of range(size), by
-    breadth-first search from every point not yet reached."""
-    seen = [False] * size
-    orbits = 0
-    for start in range(size):
-        if seen[start]:
-            continue
-        orbits += 1
-        seen[start] = True
-        queue = [start]
-        for x in queue:  # visits the points appended below too
-            for perm in perms:
-                y = perm[x]
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-    return orbits

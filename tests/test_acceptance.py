@@ -6,10 +6,9 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
 
 import golden
-from definitional import minimal_reps_count
+from definitional import coset_counts, mask, subsets
 from metamatrix.coxeter import build_system
 from metamatrix.engine import accumulate_ntable, double_coset_count, metamatrix_bruteforce
 from metamatrix.tables import dihedral_ntable, metamatrix_from_ntable
@@ -59,11 +58,6 @@ def rows(metamatrix):
     return [list(r) for r in metamatrix.entries]
 
 
-def subsets(n):
-    items = range(1, n + 1)
-    return chain.from_iterable(combinations(items, k) for k in range(n + 1))
-
-
 def test_criterion_01_golden_tables_small():
     with criterion(1, "I2(2..7), H3, H4, F4 tables exact, < 10 s total"):
         start = time.perf_counter()
@@ -111,6 +105,7 @@ def test_criterion_05_bijection_cardinalities():
     with criterion(5, "double cosets = signed matrices = minimal reps, B_n n <= 3"):
         for n in (1, 2, 3):
             system = build_system("B", n)
+            minimal_reps = coset_counts(system)
             for left in subsets(n):
                 for right in subsets(n):
                     cosets = double_coset_count(system, left, right)
@@ -120,7 +115,7 @@ def test_criterion_05_bijection_cardinalities():
                             subset_to_margin(frozenset(right), n),
                         )
                     )
-                    reps = minimal_reps_count(system, left, right)
+                    reps = minimal_reps[mask(right)][mask(left)]
                     assert cosets == scm == reps, (n, left, right)
 
 

@@ -1,15 +1,7 @@
-import numpy as np
 import pytest
 
-from definitional import (
-    _identity_mat,
-    _matrix_elements,
-    ascent_sets,
-    generator_matrices,
-    ring_matmul,
-)
-from metamatrix.coxeter import build_system, root_system, tower_plan
-from metamatrix.engine import nonneg_grid
+from definitional import ascent_sets, generator_times, group_table, identity, times_generator
+from metamatrix.coxeter import build_system, is_nonneg, root_system, tower_plan
 from metamatrix.tables import UnsupportedSystem, _group_order
 
 SMALL_SYSTEMS = [
@@ -47,9 +39,16 @@ def products(left, right):
     ]
 
 
-def coords_array(roots):
-    """The roots as a (2, n, R) array: column k holds root k."""
-    return np.array(roots.coords, dtype=np.int64).transpose(2, 1, 0)
+def flat(roots, ks):
+    """The roots with indices `ks` as one flat tuple of columns, in the
+    layout of `definitional`."""
+    return tuple(x for k in ks for pair in roots.coords[k] for x in pair)
+
+
+def nonneg_columns(mat, n):
+    """For each column of a flat matrix, whether all its coordinates are >= 0."""
+    return [all(is_nonneg(mat[c + k], mat[c + k + 1]) for k in range(0, 2 * n, 2))
+            for c in range(0, len(mat), 2 * n)]
 
 
 def tower_matrices(plan, tail_cap):
@@ -57,38 +56,17 @@ def tower_matrices(plan, tail_cap):
     covers, as prefix times tail, where the tail multiplies out the lowest
     levels while it has at most `tail_cap` elements: column j of the matrix
     of w is the root w(alpha_j)."""
-    n, coords = plan.system.rank, coords_array(plan.roots)
+    n, roots = plan.system.rank, plan.roots
     levels = [list(zip(*level)) for level in plan.transversals]
-    identity = [(plan.tail_mats[0], plan.tail_mats[0])]
-    tail = identity
+    tail = prefixes = [(plan.tail_mats[0], plan.tail_mats[0])]
     while levels and len(tail) * len(levels[0]) <= tail_cap:
         tail = products(levels.pop(0), tail)
-    prefixes = identity
     for level in reversed(levels):
         prefixes = products(prefixes, level)
     for p, p_inv in prefixes:
         for t, t_inv in tail:
-            yield (coords[:, :, [p[t[j]] for j in range(n)]],
-                   coords[:, :, [t_inv[p_inv[j]] for j in range(n)]])
-
-
-def element_index(system):
-    """The oracle's index of its elements by the bytes of their matrices."""
-    return _matrix_elements(system)[1]
-
-
-def inverse_index(system):
-    """w -> the index of w^{-1}: the element whose matrix times w's is the
-    identity."""
-    mats = _matrix_elements(system)[0]
-    stack = np.moveaxis(mats, 0, 1)
-    eye = _identity_mat(system.rank)
-    out = []
-    for mat in mats:
-        is_eye = (ring_matmul(stack, mat) == eye[:, None]).all(axis=(0, 2, 3))
-        (v,) = np.flatnonzero(is_eye)
-        out.append(int(v))
-    return out
+            yield (flat(roots, [p[t[j]] for j in range(n)]),
+                   flat(roots, [t_inv[p_inv[j]] for j in range(n)]))
 
 
 def longest_index(system):
@@ -132,17 +110,13 @@ class TestBuildSystem:
     @pytest.mark.parametrize("family,rank,m", ALL_SYSTEMS)
     def test_coxeter_relations(self, family, rank, m):
         s = build_system(family, rank, m)
-        n = rank
-        gens = generator_matrices(s)
-        eye = _identity_mat(n)
-        for i in range(n):
-            for j in range(n):
-                order = s.coxeter_matrix[i][j]
-                prod = ring_matmul(gens[i], gens[j])
-                acc = eye
-                for _ in range(order):
-                    acc = ring_matmul(acc, prod)
-                assert np.array_equal(acc, eye), (family, rank, i + 1, j + 1)
+        e = identity(rank)
+        for i in range(rank):
+            for j in range(rank):
+                acc = e
+                for _ in range(s.coxeter_matrix[i][j]):  # (s_i s_j)^m_ij
+                    acc = times_generator(s, times_generator(s, acc, i), j)
+                assert acc == e, (family, rank, i + 1, j + 1)
 
 
 class TestRootSystem:
@@ -180,15 +154,9 @@ class TestRootSystem:
     def test_generator_permutations_match_matrices(self, family, rank, m):
         s = build_system(family, rank, m)
         roots = root_system(s)
-        coords = coords_array(roots)
-        for gen, perm in zip(generator_matrices(s), roots.generators):
-            assert np.array_equal(ring_matmul(gen, coords), coords[:, :, list(perm)])
-
-
-class TestApplyGenerator:
-    def test_generator_matrix(self):
-        s = build_system("A", 2)
-        assert np.array_equal(generator_matrices(s)[0][0], np.array([[-1, 1], [0, 1]]))
+        every_root = flat(roots, range(roots.size))
+        for i, perm in enumerate(roots.generators):
+            assert generator_times(s, every_root, i) == flat(roots, perm)
 
 
 class TestAscentSets:
@@ -205,14 +173,14 @@ class TestAscentSets:
     def test_s1_in_b2(self):
         s = build_system("B", 2)
         lefts, rights = ascent_sets(s)
-        w = element_index(s)[generator_matrices(s)[0].tobytes()]
+        w = group_table(s).right[0][0]  # e * s_1
         assert lefts[w] == rights[w] == frozenset({2})
 
     @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("A", 3, None)])
     def test_inverse_swaps_sides(self, family, rank, m):
         s = build_system(family, rank, m)
         lefts, rights = ascent_sets(s)
-        for w, w_inv in enumerate(inverse_index(s)):
+        for w, w_inv in enumerate(group_table(s).inverse):
             assert lefts[w] == rights[w_inv]
             assert rights[w] == lefts[w_inv]
 
@@ -220,20 +188,20 @@ class TestAscentSets:
 class TestLongestElement:
     def test_a1(self):
         s = build_system("A", 1)
-        index = element_index(s)
-        assert longest_index(s) == [index[generator_matrices(s)[0].tobytes()]]
+        assert longest_index(s) == [group_table(s).right[0][0]]
 
     def test_b2_all_columns_negative(self):
         s = build_system("B", 2)
         (w0,) = longest_index(s)
-        mat = _matrix_elements(s)[0][w0]
-        assert not nonneg_grid(mat[0], mat[1]).all(axis=0).any()
+        assert not any(nonneg_columns(group_table(s).mats[w0], 2))
 
     def test_i2_3_longest_word(self):
         s = build_system("I2", 2, m=3)
-        g1, g2 = generator_matrices(s)
         (w0,) = longest_index(s)
-        assert np.array_equal(_matrix_elements(s)[0][w0], ring_matmul(ring_matmul(g1, g2), g1))
+        word = identity(2)
+        for i in (0, 1, 0):  # s_1 * (s_2 * (s_1 * e))
+            word = generator_times(s, word, i)
+        assert group_table(s).mats[w0] == word
 
 
 class TestEnumerateBfs:
@@ -243,46 +211,43 @@ class TestEnumerateBfs:
     )
     def test_counts(self, family, rank, m, expected):
         s = build_system(family, rank, m)
-        assert expected == s.order == len(_matrix_elements(s)[0])
+        assert expected == s.order == len(group_table(s).mats)
 
     def test_unique_longest(self):
         for family, rank, m in [("B", 3, None), ("H", 3, None), ("A", 2, None)]:
             s = build_system(family, rank, m)
             (w0,) = longest_index(s)
             assert ascent_sets(s)[0][w0] == frozenset()
-            mat = _matrix_elements(s)[0][w0]
-            assert not nonneg_grid(mat[0], mat[1]).all(axis=0).any()
+            assert not any(nonneg_columns(group_table(s).mats[w0], rank))
 
     @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("I2", 2, 5)])
     def test_columns_are_roots(self, family, rank, m):
         s = build_system(family, rank, m)
-        for mat in _matrix_elements(s)[0]:
-            nonneg = nonneg_grid(mat[0], mat[1])
-            nonpos = nonneg_grid(-mat[0], -mat[1])
-            zero = (mat[0] == 0) & (mat[1] == 0)
-            for j in range(s.rank):
-                col_ok = nonneg[:, j].all() or nonpos[:, j].all()
-                assert col_ok and not zero[:, j].all()
+        for mat in group_table(s).mats:
+            negated = tuple(-x for x in mat)
+            # a zero column is both, a column of mixed signs neither
+            for nonneg, nonpos in zip(nonneg_columns(mat, rank), nonneg_columns(negated, rank)):
+                assert nonneg != nonpos
 
 
 class TestEnumerateTower:
     def test_multilevel_plan_covers_group(self):
         s = build_system("B", 4)
-        keys = {mat.tobytes() for mat, _ in tower_matrices(tower_plan(s), tail_cap=10)}
+        keys = {mat for mat, _ in tower_matrices(tower_plan(s), tail_cap=10)}
         assert len(keys) == s.order
-        assert keys == set(element_index(s))
+        assert keys == set(group_table(s).index)
 
     @pytest.mark.parametrize(
         "family,rank,m,cap", [("B", 3, None, 1), ("H", 3, None, 8), ("I2", 2, 5, 1)]
     )
     def test_tower_matrices_equal_bfs_matrices(self, family, rank, m, cap):
         s = build_system(family, rank, m)
-        tower = [mat.tobytes() for mat, _ in tower_matrices(tower_plan(s), tail_cap=cap)]
+        tower = [mat for mat, _ in tower_matrices(tower_plan(s), tail_cap=cap)]
         assert len(tower) == len(set(tower)) == s.order
-        assert set(tower) == set(element_index(s))
+        assert set(tower) == set(group_table(s).index)
 
     def test_tower_inverses_consistent(self):
         s = build_system("D", 4)
-        eye = _identity_mat(s.rank)
+        table = group_table(s)
         for mat, inv in tower_matrices(tower_plan(s), tail_cap=10):
-            assert np.array_equal(ring_matmul(mat, inv), eye)
+            assert table.index[inv] == table.inverse[table.index[mat]]

@@ -74,6 +74,9 @@ class TestBareissDet:
         with pytest.raises(ValueError):
             bareiss_det(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
+    def test_empty_matrix(self):
+        assert bareiss_det(Matrix.from_rows([])) == 1
+
     def test_singular(self):
         assert bareiss_det(Matrix.from_rows([[1, 2], [2, 4]])) == 0
 

@@ -2,7 +2,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,9 +104,6 @@ def test_ring_axioms_sample(x, y):
 
 def test_nonneg_grid_matches_scalar_sign():
     vals = range(-6, 7)
-    a = np.array([[p for p in vals for _ in vals]])
-    b = np.array([[q for _ in vals for q in vals]])
-    grid = nonneg_grid(a, b)[0]
-    flat = [(p, q) for p in vals for q in vals]
-    for (p, q), got in zip(flat, grid):
-        assert bool(got) == (Golden(p, q).sign() >= 0)
+    for p in vals:
+        for q in vals:
+            assert nonneg_grid(p, q) == (Golden(p, q).sign() >= 0), (p, q)

@@ -1,5 +1,5 @@
 """The state-histogram walk (`_kernels.count_profiles_batch`, one call per
-tower level) against the definitional matrix path."""
+tower level) against the definitional reference (`definitional.py`)."""
 
 import pytest
 
@@ -46,6 +46,7 @@ def check_every_level(system):
      ("D", 4), ("F", 4), ("H", 3)],
 )
 def test_implementations_agree(family, rank):
+    """The walk and the definitional reference give the same N-table."""
     check_every_level(build_system(family, rank))
 
 
@@ -68,7 +69,7 @@ def test_multilevel_tower_shape():
     assert plan.watched == ((), (3,), (2,), (1,), ())
 
 
-def test_accumulates_into_out():
+def test_step_is_linear():
     """The step is linear in the incoming histogram: doubling every count
     doubles every outgoing count."""
     plan = tower_plan(build_system("B", 3))

@@ -1,7 +1,9 @@
 """The package surface: the lazy package root, every command run without
-numpy, and the entry points that the benchmark's traced run wraps by name
+numpy, the tests' reference kept apart from the pipelines, and the entry
+points that the benchmark's traced run wraps by name
 (`perfbench/tracing.py`)."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -134,6 +136,14 @@ class TestStartWithoutNumpy:
     def test_oracle_leaves_numpy_out(self, tmp_path, args):
         got = numpy_after(cli_run(args + ["--cache-dir", str(tmp_path)]))
         assert got == {"numpy": False, "code": 0}
+
+
+def test_definitional_reference_uses_only_the_catalog():
+    """The tests' reference shares no code with the pipelines it checks."""
+    nodes = list(ast.walk(ast.parse((ROOT / "tests" / "definitional.py").read_text())))
+    modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    modules |= {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
+    assert {name for name in modules if name.startswith("metamatrix")} == {"metamatrix.tables"}
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,13 @@
 import hashlib
 import json
 import math
-from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from definitional import subsets
 from metamatrix.typeb import gscm_count, metamatrix_typeb, scm_count_closed, scm_table
 from references import (
     MarginCondition,
@@ -23,11 +23,6 @@ from references import (
     subset_to_margin,
     verify_scm_gscm_transform,
 )
-
-
-def subsets(n):
-    items = range(1, n + 1)
-    return chain.from_iterable(combinations(items, k) for k in range(n + 1))
 
 
 def weak_compositions(total, length):
