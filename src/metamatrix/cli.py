@@ -2,33 +2,34 @@
 
 Exit codes: 0 success / totally positive, 1 verified negative result,
 2 usage or parse error, 3 resource limit (`engine.ORACLE_LIMIT`), 4 internal
-error (an unexpected exception, reported in one line).  All big integers are
-read and emitted as decimal strings so output is lossless at any magnitude:
-the CLI lifts Python's int/str digit limit when it runs.  Matrices are lists of
-rows, and `scm-count` answers any n from the closed form.
+error (an unexpected exception, reported in one line).  A parse error (an
+unknown command or option, a missing or malformed value) is argparse's: a
+`usage:` line and the message on stderr.  Every other error prints one
+`Error: <msg>` line.  All big integers are read and emitted as decimal
+strings so output is lossless at any magnitude: the CLI lifts Python's
+int/str digit limit when it runs.  Matrices are lists of rows, and
+`scm-count` answers any n from the closed form.
 
 `_legs` alone chooses a system's pipelines: `formula` for B at any rank and
 I2 at any m, `enumeration` and `oracle` where the catalog has the system.
 N-tables are cached only under `--cache-dir`; without it a run writes
 nothing, so what it does depends on its arguments alone.
 
-No command imports numpy.  `coxeter` and `engine` are imported on first
-use, where a command enumerates, runs the oracle or reads the cache, so
-`check-tp` and the formulas do not load them.
+The CLI runs on the standard library, and each command imports only the
+modules it uses: `tp` and `fractions` for `check-tp`, `typeb` for the type-B
+formula and `scm-count`, `coxeter` and `engine` where a command enumerates,
+runs the oracle or reads the cache.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-import click
-
-from . import tp, typeb
 from .tables import (
     _RANKS,
     EnumerationLimit,
@@ -45,19 +46,9 @@ from .tables import (
     system_label,
 )
 
-class ResourceLimit(click.ClickException):
-    exit_code = 3
 
-
-class NegativeResult(click.ClickException):
-    exit_code = 1
-
-    def show(self, file=None):  # message already printed as payload
-        pass
-
-
-class InternalError(click.ClickException):
-    exit_code = 4
+class UsageError(Exception):
+    """A usage error found after parsing: exit code 2."""
 
 
 def build_system(family: str, rank: int, m: int | None = None):
@@ -131,7 +122,7 @@ def _cached_ntable(system, cache: str | None) -> NTable:
         payload = _ntable_payload(system.family, system.rank, system.m, system.order, table)
         _write_atomic(path, json.dumps(payload))
     except OSError as exc:
-        click.echo(f"warning: N-table not cached: {exc}", err=True)
+        print(f"warning: N-table not cached: {exc}", file=sys.stderr)
     return table
 
 
@@ -148,43 +139,34 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _matrix_json(family, rank, m, pipeline, entries) -> str:
-    payload = {
-        "family": family,
-        "rank": rank,
-        "m": m,
-        "pipeline": pipeline,
-        "matrix": [[str(x) for x in row] for row in entries],
-    }
-    return json.dumps(payload, indent=2)
-
-
 def _emit_matrix(entries, fmt: str, family=None, rank=None, m=None, pipeline=None):
     if fmt == "json":
-        click.echo(_matrix_json(family, rank, m, pipeline, entries))
+        matrix = [[str(x) for x in row] for row in entries]
+        payload = {"family": family, "rank": rank, "m": m, "pipeline": pipeline, "matrix": matrix}
+        print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         for row in entries:
-            click.echo(",".join(str(x) for x in row))
+            print(",".join(str(x) for x in row))
     else:
         width = max(len(str(x)) for row in entries for x in row)
         for row in entries:
-            click.echo(" ".join(str(x).rjust(width) for x in row))
+            print(" ".join(str(x).rjust(width) for x in row))
 
 
 def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, int, int | None]:
     fam = family.upper()
     if fam not in _RANKS:
-        raise click.UsageError(f"unknown family {family!r}")
+        raise UsageError(f"unknown family {family!r}")
     if fam == "I2":
         if m is None:
-            raise click.UsageError("family I2 requires --m")
+            raise UsageError("family I2 requires --m")
         if m < 2:
-            raise click.UsageError("I2 requires m >= 2")
+            raise UsageError("I2 requires m >= 2")
         return fam, 2, m
     if rank is None:
-        raise click.UsageError("--rank is required for this family")
+        raise UsageError("--rank is required for this family")
     if rank < 1:
-        raise click.UsageError("--rank must be positive")
+        raise UsageError("--rank must be positive")
     return fam, rank, None
 
 
@@ -193,6 +175,12 @@ def _enumeration(system, cache: str | None) -> Metamatrix:
 
     # engine's name for the transform is the one perfbench/tracing.py times
     return engine.metamatrix_from_ntable(_cached_ntable(system, cache))
+
+
+def _type_b(rank: int) -> Metamatrix:
+    from . import typeb
+
+    return typeb.metamatrix_typeb(rank)
 
 
 def _oracle(system) -> Metamatrix:
@@ -210,7 +198,7 @@ def _legs(fam: str, rank: int, m: int | None, cache: str | None) -> dict[str, Ca
     pipeline raises UnsupportedSystem."""
     legs = {}
     if fam == "B":
-        legs["formula"] = lambda: typeb.metamatrix_typeb(rank)
+        legs["formula"] = lambda: _type_b(rank)
     elif fam == "I2":
         legs["formula"] = lambda: metamatrix_from_ntable(dihedral_ntable(m), provenance="formula")
     if in_catalog(fam, rank, m):
@@ -229,97 +217,41 @@ def _check_invariants(result: Metamatrix, fam: str, rank: int, m: int | None) ->
         raise AssertionError(f"{system_label(fam, rank, m)} {result.provenance}: {failure}")
 
 
-class _Main(click.Group):
-    """The command group; it maps an unsupported system to exit 2 and an
-    enumeration limit to exit 3, and any other exception that no command
-    handles to code 4 and a one-line message instead of a traceback."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except UnsupportedSystem as exc:
-            raise click.UsageError(str(exc)) from exc
-        except EnumerationLimit as exc:
-            raise ResourceLimit(str(exc)) from exc
-        except Exception as exc:
-            detail = " ".join(str(exc).split())  # one line, whatever the message
-            raise InternalError(f"internal error: {type(exc).__name__}: {detail}") from exc
-
-
-@click.group(cls=_Main)
-def main():
-    """Exact contingency metamatrices of finite Coxeter groups."""
-    # exact decimal input and output at any length: lift the 4,300-digit
-    # int/str limit (releases before 3.10.7 have neither the limit nor the setter)
-    lift = getattr(sys, "set_int_max_str_digits", None)
-    if lift is not None:
-        lift(0)
-
-
-_common = [
-    click.option("--family", required=True, help=", ".join(_RANKS)),
-    click.option("--rank", type=int, default=None),
-    click.option("--m", type=int, default=None, help="bond order for I2"),
-    click.option(
-        "--workers",
-        type=click.IntRange(min=1),
-        default=None,
-        expose_value=False,
-        help="accepted for compatibility; has no effect (the enumeration runs in one process)",
-    ),
-    click.option("--cache-dir", default=None, help="N-table cache directory (default: none)"),
-]
-
-
-def _with_common(cmd):
-    for opt in reversed(_common):
-        cmd = opt(cmd)
-    return cmd
-
-
 # --method value -> the leg it names
 _METHODS = {"formula": "formula", "enumerate": "enumeration", "oracle": "oracle"}
 
 
-@main.command()
-@_with_common
-@click.option(
-    "--method",
-    type=click.Choice(list(_METHODS)),
-    default=None,
-    help="pipeline (default: formula for B/I2, enumerate otherwise)",
-)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="pretty")
-def compute(family, rank, m, cache_dir, method, fmt):
+def compute(args) -> int:
     """Compute the metamatrix of a Coxeter group."""
-    fam, rank, m = _resolve_spec(family, rank, m)
-    legs = _legs(fam, rank, m, cache_dir)
+    fam, rank, m = _resolve_spec(args.family, args.rank, args.m)
+    legs = _legs(fam, rank, m, args.cache_dir)
+    method = args.method
     if method is None:
         method = "formula" if "formula" in legs else "enumerate"
     leg = legs.get(_METHODS[method])
     if leg is None:
         applicable = " or ".join(name for name, leg_name in _METHODS.items() if leg_name in legs)
-        raise click.UsageError(
+        raise UsageError(
             f"--method {method} does not apply to {system_label(fam, rank, m)}; "
             f"use --method {applicable}"
         )
     result = leg()
     _check_invariants(result, fam, rank, m)
-    _emit_matrix(result.entries, fmt, fam, rank, m, result.provenance)
-
-
-def _parse_entry(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token!r}")
+    _emit_matrix(result.entries, args.fmt, fam, rank, m, result.provenance)
+    return 0
 
 
 def _parse_matrix_text(text: str) -> list[list[Fraction]]:
     """The rows of a JSON or whitespace-grid matrix; raises ValueError on
     input that is not a nonempty matrix with rows of one length."""
+    from fractions import Fraction
+
+    def entry(token: str) -> Fraction:
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}")
+
     if not text.strip():
         raise ValueError("empty matrix input")
     stripped = text.lstrip()
@@ -332,7 +264,7 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
             raise ValueError("the matrix must be a list of rows")
         if not grid:
             raise ValueError("the matrix has no rows")
-        rows = [[_parse_entry(str(x)) for x in row] for row in grid]
+        rows = [[entry(str(x)) for x in row] for row in grid]
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged rows")
         return rows
@@ -344,7 +276,7 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
         row = []
         for col, tok in enumerate(line.split(), start=1):
             try:
-                row.append(_parse_entry(tok))
+                row.append(entry(tok))
             except ValueError:
                 raise ValueError(f"line {ln}, column {col}: cannot parse {tok!r}")
         if width is None:
@@ -355,59 +287,46 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
     return rows
 
 
-@main.command("check-tp")
-@click.argument("source")
-@click.option(
-    "--method",
-    type=click.Choice(["auto", "all-minors", "fekete"]),
-    default="auto",
-)
-def check_tp(source, method):
+def check_tp(args) -> int:
     """Certify total positivity of a matrix (file path or '-' for stdin)."""
+    from . import tp
+
     try:
-        text = sys.stdin.read() if source == "-" else Path(source).read_text()
+        text = sys.stdin.read() if args.source == "-" else Path(args.source).read_text()
         matrix = _parse_matrix_text(text)
         size = len(matrix)
         if len(matrix[0]) != size:
             raise ValueError(f"matrix is {size}x{len(matrix[0])}, not square")
     except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting recurses
-        raise click.UsageError(f"cannot read matrix: {exc}")
+        raise UsageError(f"cannot read matrix: {exc}")
+    method = args.method
     if method == "auto":
         method = "all-minors" if size <= 9 else "fekete"
     if method == "all-minors" and size > tp.ALL_MINORS_SIZE_CAP:
-        raise click.UsageError(
+        raise UsageError(
             f"--method all-minors is capped at size {tp.ALL_MINORS_SIZE_CAP} "
             f"(matrix is {size}x{size}); use --method fekete"
         )
-    cert = (
-        tp.all_minors_positive(matrix)
-        if method == "all-minors"
-        else tp.fekete_check(matrix)
-    )
+    cert = tp.all_minors_positive(matrix) if method == "all-minors" else tp.fekete_check(matrix)
+    witness = cert.witness
+    if witness is not None:
+        witness = {"rows": list(witness.rows), "cols": list(witness.cols),
+                   "minor": str(witness.minor)}
     payload = {
         "verdict": cert.verdict,
         "method": cert.method,
         "minors_checked": cert.minors_checked,
-        "witness": None
-        if cert.witness is None
-        else {
-            "rows": list(cert.witness.rows),
-            "cols": list(cert.witness.cols),
-            "minor": str(cert.witness.minor),
-        },
+        "witness": witness,
     }
-    click.echo(json.dumps(payload, indent=2))
-    if not cert.is_totally_positive:
-        raise NegativeResult("matrix is not totally positive")
+    print(json.dumps(payload, indent=2))
+    return 0 if cert.is_totally_positive else 1
 
 
-@main.command()
-@_with_common
-def verify(family, rank, m, cache_dir):
+def verify(args) -> int:
     """Cross-check every applicable pipeline and report agreement; a system
     with one pipeline is reported as such, with nothing compared."""
-    fam, rank, m = _resolve_spec(family, rank, m)
-    legs = _legs(fam, rank, m, cache_dir)
+    fam, rank, m = _resolve_spec(args.family, args.rank, args.m)
+    legs = _legs(fam, rank, m, args.cache_dir)
     if "oracle" in legs:
         from . import engine
 
@@ -439,47 +358,123 @@ def verify(family, rank, m, cache_dir):
         "agree": first_diff is None if len(names) > 1 else None,
         "first_difference": first_diff,
     }
-    click.echo(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2))
     if len(names) == 1:
-        click.echo(f"{system_label(fam, rank, m)}: {reference_name} (one leg, nothing compared)")
+        print(f"{system_label(fam, rank, m)}: {reference_name} (one leg, nothing compared)")
     elif first_diff is None:
-        click.echo(f"{system_label(fam, rank, m)}: {' = '.join(names)} (all legs agree)")
+        print(f"{system_label(fam, rank, m)}: {' = '.join(names)} (all legs agree)")
     else:
-        click.echo(f"{system_label(fam, rank, m)}: pipelines disagree at {first_diff['entry']}")
-        raise NegativeResult("pipelines disagree")
+        print(f"{system_label(fam, rank, m)}: pipelines disagree at {first_diff['entry']}")
+        return 1
+    return 0
 
 
-@main.command()
-@_with_common
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json")
-def ntable(family, rank, m, cache_dir, fmt):
+def ntable(args) -> int:
     """Compute the two-sided ascent-count table: I2 from its closed form,
     every other system by enumeration (cached under --cache-dir)."""
-    fam, rank, m = _resolve_spec(family, rank, m)
+    fam, rank, m = _resolve_spec(args.family, args.rank, args.m)
     order = _group_order(fam, rank, m)
     if fam == "I2":
         table = dihedral_ntable(m)
     else:
-        table = _cached_ntable(build_system(fam, rank, m), cache_dir)
-    if fmt == "json":
-        click.echo(json.dumps(_ntable_payload(fam, rank, m, order, table), indent=2))
+        table = _cached_ntable(build_system(fam, rank, m), args.cache_dir)
+    if args.fmt == "json":
+        print(json.dumps(_ntable_payload(fam, rank, m, order, table), indent=2))
     else:
-        _emit_matrix(table.counts, fmt)
+        _emit_matrix(table.counts, args.fmt)
+    return 0
 
 
-@main.command("scm-count")
-@click.argument("n", type=int)
-@click.argument("p", type=int)
-@click.argument("q", type=int)
-@click.option("--gscm", is_flag=True, help="count generalized matrices (closed form)")
-def scm_count_cmd(n, p, q, gscm):
+def scm_count(args) -> int:
     """Count (generalized) signed contingency matrices at lengths (P, Q),
     both from the closed form."""
+    from . import typeb
+
+    count = typeb.gscm_count if args.gscm else typeb.scm_count_closed
     try:
-        count = typeb.gscm_count(n, p, q) if gscm else typeb.scm_count_closed(n, p, q)
+        value = count(args.n, args.p, args.q)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(str(count))
+        raise UsageError(str(exc))
+    print(value)
+    return 0
+
+
+def positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
+    return value
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Exact contingency metamatrices of finite Coxeter groups.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    formats = ["json", "csv", "pretty"]
+
+    def command(name: str, run: Callable[[argparse.Namespace], int], system: bool = True):
+        doc = run.__doc__
+        sub = commands.add_parser(
+            name, help=doc.split("\n\n")[0], description=doc, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        if system:
+            sub.add_argument("--family", required=True, help=", ".join(_RANKS))
+            sub.add_argument("--rank", type=int)
+            sub.add_argument("--m", type=int, help="bond order for I2")
+            sub.add_argument("--workers", type=positive_int, help="accepted for compatibility; "
+                             "has no effect (the enumeration runs in one process)")
+            sub.add_argument("--cache-dir", help="N-table cache directory (default: none)")
+        return sub
+
+    sub = command("compute", compute)
+    sub.add_argument("--method", choices=list(_METHODS),
+                     help="pipeline (default: formula for B/I2, enumerate otherwise)")
+    sub.add_argument("--format", dest="fmt", choices=formats, default="pretty")
+    sub = command("check-tp", check_tp, system=False)
+    sub.add_argument("source")
+    sub.add_argument("--method", choices=["auto", "all-minors", "fekete"], default="auto")
+    command("verify", verify)
+    command("ntable", ntable).add_argument("--format", dest="fmt", choices=formats, default="json")
+    sub = command("scm-count", scm_count, system=False)
+    for name in "npq":
+        sub.add_argument(name, type=int)
+    sub.add_argument("--gscm", action="store_true", help="count generalized matrices (closed form)")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """The `metamatrix` command.  Parses `args` (default: the command line),
+    runs the command, and exits with its code; it maps an unsupported system
+    to exit 2, an enumeration limit to exit 3, and any other exception that
+    no command handles to code 4 and a one-line message, not a traceback."""
+    # exact decimal input and output at any length: lift the 4,300-digit
+    # int/str limit (releases before 3.10.7 have neither the limit nor the setter)
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
+    parsed = _parser(prog_name or "metamatrix").parse_args(args)  # exits 0 or 2 itself
+    try:
+        code = parsed.run(parsed)
+    except (UsageError, UnsupportedSystem) as exc:
+        code, message = 2, str(exc)
+    except EnumerationLimit as exc:
+        code, message = 3, str(exc)
+    except Exception as exc:
+        detail = " ".join(str(exc).split())  # one line, whatever the message
+        code, message = 4, f"internal error: {type(exc).__name__}: {detail}"
+    else:
+        message = None
+    if message is not None:
+        print(f"Error: {message}", file=sys.stderr)
+    sys.exit(code)
+
+
+# click.testing.CliRunner().invoke(main, args) calls main.main(args=..., prog_name=...)
+main.name = "metamatrix"
+main.main = main
 
 
 if __name__ == "__main__":

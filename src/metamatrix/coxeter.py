@@ -13,7 +13,7 @@ walks weight orbits with its own reflections from `cartan`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tables import _edges, _group_order, check_catalog
 
@@ -39,8 +39,7 @@ _BOND_CARTAN = {
 ZPhi = tuple[int, int]  # a + b*phi
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
+class CoxeterSystem(NamedTuple):
     family: str
     rank: int
     m: int | None
@@ -105,8 +104,7 @@ def reflect(system: CoxeterSystem, i: int, root: tuple[ZPhi, ...]) -> tuple[ZPhi
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Phi with its signs and the generator permutations.
 
     Root k has coordinates coords[k] (one (a, b) pair per simple root); the
@@ -191,8 +189,7 @@ def coset_transversal(
     return reps, [inverse(u) for u in reps]
 
 
-@dataclass(frozen=True)
-class TowerPlan:
+class TowerPlan(NamedTuple):
     """The parabolic coset tower W = T_n * ... * T_1 on root permutations.
 
     W_k, generated by the first k nodes of `order`, is T_k * W_{k-1}, where

@@ -9,7 +9,7 @@ without loading `coxeter` or `engine`, which re-export these names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Dihedral groups realizable with exact matrix entries: integers for
 # m in {2,3,4,6}, Z[phi] for m=5 (2*cos(pi/5) = phi).
@@ -121,8 +121,7 @@ def check_catalog(family: str, rank: int, m: int | None) -> None:
         raise _unsupported(family, rank, m)
 
 
-@dataclass(frozen=True)
-class NTable:
+class NTable(NamedTuple):
     """Two-sided ascent statistics: counts[i][j] = #elements with i left and
     j right ascents."""
 
@@ -141,14 +140,19 @@ class NTable:
         )
 
 
-@dataclass(frozen=True)
-class Metamatrix:
+class Metamatrix(NamedTuple):
+    """The (n+1)x(n+1) table and the pipeline that produced it; two are equal
+    when their entries are."""
+
     n: int
     entries: tuple[tuple[int, ...], ...]
     provenance: str
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Metamatrix) and self.entries == other.entries
+
+    def __ne__(self, other: object) -> bool:  # a tuple's own != compares every field
+        return not self == other
 
 
 def dihedral_ntable(m: int) -> NTable:

@@ -15,25 +15,22 @@ elimination before it is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .exactlinear import _bareiss_int, _integer_rows, inverse_pascal_times, vandermonde_half_nodes
-from .typeb import scm_table
 
 ALL_MINORS_SIZE_CAP = 12
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     minor: Fraction
 
 
-@dataclass(frozen=True)
-class TPCertificate:
+class TPCertificate(NamedTuple):
     verdict: str  # "totally-positive" | "not-totally-positive"
     method: str  # "all-minors" | "fekete"
     minors_checked: int
@@ -200,6 +197,8 @@ def gauss_decomposition_typeb(n: int) -> tuple[list[list[Fraction]], tuple[Fract
         raise AssertionError(f"type-B factorization: Q is not upper triangular (n={n})")
     if any(x <= 0 for x in diag):
         raise AssertionError(f"type-B factorization: D has a nonpositive entry (n={n})")
+    from .typeb import scm_table
+
     # with Q upper triangular, (Q D Q^t)_ij = sum over k >= max(i, j) of Q_ik D_kk Q_jk
     table = scm_table(n)
     for i in range(n + 1):

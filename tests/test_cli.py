@@ -28,6 +28,29 @@ def matrix_of(json_text):
     return [[int(x) for x in row] for row in json.loads(json_text)["matrix"]]
 
 
+class TestParseErrors:
+    """Parse errors are argparse's: a usage line and the message on stderr,
+    exit 2; help exits 0."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["no-such-command"], ["compute", "--family", "B", "--rank", "2", "--format", "xml"]],
+        ids=["no-command", "unknown-command", "bad-format"],
+    )
+    def test_usage_and_exit_2(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: metamatrix")
+
+    @pytest.mark.parametrize("args", [["--help"], ["compute", "--help"]], ids=["main", "compute"])
+    def test_help_exits_0(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert res.stdout.startswith("usage: metamatrix")
+
+
 class TestCompute:
     def test_b2_formula_csv(self, runner):
         res = runner.invoke(main, ["compute", "--family", "B", "--rank", "2", "--format", "csv"])

@@ -51,22 +51,16 @@ def nonneg_columns(mat, n):
             for c in range(0, len(mat), 2 * n)]
 
 
-def tower_matrices(plan, tail_cap):
+def tower_matrices(plan):
     """(mat, inv) root-coordinate matrices of every element the tower plan
-    covers, as prefix times tail, where the tail multiplies out the lowest
-    levels while it has at most `tail_cap` elements: column j of the matrix
-    of w is the root w(alpha_j)."""
+    covers, the product T_n * ... * T_1 * W_0 multiplied out level by level:
+    column j of the matrix of w is the root w(alpha_j)."""
     n, roots = plan.system.rank, plan.roots
-    levels = [list(zip(*level)) for level in plan.transversals]
-    tail = prefixes = [(plan.tail_mats[0], plan.tail_mats[0])]
-    while levels and len(tail) * len(levels[0]) <= tail_cap:
-        tail = products(levels.pop(0), tail)
-    for level in reversed(levels):
-        prefixes = products(prefixes, level)
-    for p, p_inv in prefixes:
-        for t, t_inv in tail:
-            yield (flat(roots, [p[t[j]] for j in range(n)]),
-                   flat(roots, [t_inv[p_inv[j]] for j in range(n)]))
+    elements = [(plan.tail_mats[0], plan.tail_mats[0])]
+    for level in plan.transversals:
+        elements = products(list(zip(*level)), elements)
+    for w, w_inv in elements:
+        yield flat(roots, [w[j] for j in range(n)]), flat(roots, [w_inv[j] for j in range(n)])
 
 
 def longest_index(system):
@@ -233,21 +227,19 @@ class TestEnumerateBfs:
 class TestEnumerateTower:
     def test_multilevel_plan_covers_group(self):
         s = build_system("B", 4)
-        keys = {mat for mat, _ in tower_matrices(tower_plan(s), tail_cap=10)}
+        keys = {mat for mat, _ in tower_matrices(tower_plan(s))}
         assert len(keys) == s.order
         assert keys == set(group_table(s).index)
 
-    @pytest.mark.parametrize(
-        "family,rank,m,cap", [("B", 3, None, 1), ("H", 3, None, 8), ("I2", 2, 5, 1)]
-    )
-    def test_tower_matrices_equal_bfs_matrices(self, family, rank, m, cap):
+    @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("I2", 2, 5)])
+    def test_tower_matrices_equal_bfs_matrices(self, family, rank, m):
         s = build_system(family, rank, m)
-        tower = [mat for mat, _ in tower_matrices(tower_plan(s), tail_cap=cap)]
+        tower = [mat for mat, _ in tower_matrices(tower_plan(s))]
         assert len(tower) == len(set(tower)) == s.order
         assert set(tower) == set(group_table(s).index)
 
     def test_tower_inverses_consistent(self):
         s = build_system("D", 4)
         table = group_table(s)
-        for mat, inv in tower_matrices(tower_plan(s), tail_cap=10):
+        for mat, inv in tower_matrices(tower_plan(s)):
             assert table.index[inv] == table.inverse[table.index[mat]]

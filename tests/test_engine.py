@@ -90,15 +90,6 @@ class TestMetamatrixFromNtable:
 
 
 class TestTower:
-    @pytest.mark.parametrize("family,rank", [("B", 4, ), ("D", 4,), ("A", 4,)])
-    def test_multilevel_matches_bfs(self, family, rank):
-        system = build_system(family, rank)
-        assert list(map(list, accumulate_ntable(system).counts)) == definitional_counts(system)
-
-    def test_f4_matches_bfs(self):
-        system = build_system("F", 4)
-        assert list(map(list, accumulate_ntable(system).counts)) == definitional_counts(system)
-
     @pytest.mark.parametrize("family,rank,m", [("H", 3, None), ("I2", 2, 5)])
     def test_golden_tower_matches_definition(self, family, rank, m):
         system = build_system(family, rank, m)

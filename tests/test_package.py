@@ -98,6 +98,22 @@ def cli_run(args: list[str]) -> str:
     )
 
 
+class TestLazyCommands:
+    """The CLI starts on the standard library, and a command loads only the
+    modules it uses."""
+
+    def test_import_cli_loads_no_pipeline(self):
+        modules = ["click", "dataclasses", "inspect", "fractions", "metamatrix.tp",
+                   "metamatrix.typeb", "metamatrix.coxeter", "metamatrix.engine"]
+        got = loaded_after("import metamatrix.cli", modules)
+        assert got == dict.fromkeys(modules, False)
+
+    def test_type_b_formula_loads_no_enumeration(self):
+        modules = ["metamatrix.coxeter", "metamatrix.engine"]
+        got = loaded_after(cli_run(["compute", "--family", "B", "--rank", "8"]), modules)
+        assert got == dict.fromkeys(modules, False)
+
+
 class TestStartWithoutNumpy:
     def test_import_cli_and_tp(self):
         assert numpy_after("import metamatrix.cli, metamatrix.tp\ncode = None") == {
