@@ -1,10 +1,10 @@
 """Exact contingency metamatrices of finite Coxeter groups, with
-total-positivity certification.
-
-The package root exports the pipeline entry points; every other name is
-importable from its module.  Each entry point is imported from its module
-on first access (PEP 562), so importing the package, or a module such as
-`metamatrix.cli` or `metamatrix.tp`, loads no pipeline it does not use.
+total-positivity certifiers (`tp`) and the type-B closed form and its
+factorization (`typeb`).  The package root exports the pipeline entry
+points; every other name is importable from its module.  Each entry point
+is imported from its module on first access (PEP 562), so importing the
+package, or a module such as `metamatrix.cli` or `metamatrix.tp`, loads no
+pipeline it does not use.
 """
 
 import importlib
@@ -26,7 +26,7 @@ _EXPORTS = {
     "TPCertificate": "tp",
     "all_minors_positive": "tp",
     "fekete_check": "tp",
-    "gauss_decomposition_typeb": "tp",
+    "gauss_decomposition_typeb": "typeb",
     "metamatrix_typeb": "typeb",
 }
 

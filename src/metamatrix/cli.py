@@ -162,7 +162,11 @@ def _resolve_spec(family: str, rank: int | None, m: int | None) -> tuple[str, in
             raise UsageError("family I2 requires --m")
         if m < 2:
             raise UsageError("I2 requires m >= 2")
+        if rank not in (None, 2):
+            raise UsageError(f"family I2 has rank 2, not {rank}")
         return fam, 2, m
+    if m is not None:
+        raise UsageError("--m applies only to family I2")
     if rank is None:
         raise UsageError("--rank is required for this family")
     if rank < 1:

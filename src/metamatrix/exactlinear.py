@@ -1,5 +1,4 @@
-"""Exact determinants and the inverse-Pascal transform, on python ints and
-``fractions.Fraction``.
+"""Exact determinants, on python ints and ``fractions.Fraction``.
 
 Matrices are lists of rows everywhere in the package.  `Matrix` remains
 only as the argument type of `bareiss_det`: it holds the rows it is built
@@ -10,9 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
-
-Scalar = int | Fraction
 
 
 class Matrix:
@@ -20,11 +16,11 @@ class Matrix:
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+    def __init__(self, rows: list[list[int | Fraction]]):
         self.rows = rows
 
     @classmethod
-    def from_rows(cls, grid: Sequence[Sequence[Scalar]]) -> "Matrix":
+    def from_rows(cls, grid: list[list[int | Fraction]]) -> "Matrix":
         return cls(grid)
 
 
@@ -76,41 +72,3 @@ def bareiss_det(a: Matrix) -> Fraction:
     divided by the product of the row scales."""
     grid, scales = _integer_rows(a.rows)
     return Fraction(_bareiss_int(grid), math.prod(scales))
-
-
-def vandermonde_half_nodes(n: int) -> list[list[Fraction]]:
-    """Vandermonde matrix at the half-integer nodes 1/2, 3/2, ..., n+1/2, as
-    rows."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    nodes = [Fraction(2 * i + 1, 2) for i in range(n + 1)]
-    return [[x**j for j in range(n + 1)] for x in nodes]
-
-
-def _inverse_pascal_apply(x: Sequence[Scalar]) -> list[Scalar]:
-    """P^{-1} x, which is the forward differences (Delta^i x)_0, i = 0..len(x)-1,
-    because (P^{-1})_ij = (-1)^(i-j) C(i, j)."""
-    out = []
-    x = list(x)
-    while x:
-        out.append(x[0])
-        x = [b - a for a, b in zip(x, x[1:])]
-    return out
-
-
-def inverse_pascal_times(grid: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """P^{-1} * grid, as forward differences down each column."""
-    columns = [_inverse_pascal_apply(col) for col in zip(*grid)]
-    return [list(row) for row in zip(*columns)]
-
-
-def conjugate_by_inverse_pascal(grid: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Compute T with L = P * T * P^t, i.e. T = P^{-1} * L * (P^{-1})^t, for a
-    square L given as rows.
-
-    P^{-1} is applied as forward differences, first down each column of L and
-    then along each row, so integer input stays in python ints.
-    """
-    if any(len(row) != len(grid) for row in grid):
-        raise ValueError("square matrix required")
-    return [_inverse_pascal_apply(row) for row in inverse_pascal_times(grid)]

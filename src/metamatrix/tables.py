@@ -154,6 +154,9 @@ class Metamatrix(NamedTuple):
     def __ne__(self, other: object) -> bool:  # a tuple's own != compares every field
         return not self == other
 
+    def __hash__(self) -> int:  # a tuple's own hash covers every field
+        return hash(self.entries)
+
 
 def dihedral_ntable(m: int) -> NTable:
     """Closed-form N-table of the dihedral group of order 2m."""

@@ -1,5 +1,4 @@
-"""Exact total-positivity certification and the triangular factorization of
-the type-B tables.
+"""Exact total-positivity certification.
 
 A matrix is totally positive when every minor of every size is strictly
 positive.  Two certifiers are provided: the definitional all-minors scan,
@@ -9,7 +8,8 @@ row and column windows implies strict total positivity), which gets those
 minors level by level by integer condensation.  Both work in exact integers
 on the rows scaled by the lcm of their denominators, and report a witness at
 its unscaled value; the all-minors witness is re-evaluated by Bareiss
-elimination before it is reported.
+elimination before it is reported.  The structural reason the type-B tables
+are totally positive, their factorization, is in `typeb`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .exactlinear import _bareiss_int, _integer_rows, inverse_pascal_times, vandermonde_half_nodes
+from .exactlinear import _bareiss_int, _integer_rows
 
 ALL_MINORS_SIZE_CAP = 12
 
@@ -163,48 +163,3 @@ def fekete_check(a) -> TPCertificate:
             )
             return TPCertificate("not-totally-positive", "fekete", checked, witness)
     return TPCertificate("totally-positive", "fekete", checked, None)
-
-
-def _half_node_diagonal(n: int) -> tuple[Fraction, ...]:
-    """D_kk = 2^k e_{n-k}(1/2, 3/2, ..., n-1/2) / n!, the coefficient of s^k
-    in C(s + n - 1/2, n) times 2^k.  With u_p = p + 1/2 and s = 2 u_p u_q,
-    C(s + n - 1/2, n) = C(2pq + p + q + n, n) = L_pq, so L = V * D * V^t for
-    the Vandermonde matrix V at the nodes u_p."""
-    # C(s + n - 1/2, n) = sum_k c_k (2s)^k / (2^n n!), where the integers c_k
-    # are the coefficients of prod_{i=1..n} (t + 2i - 1)
-    coeffs = [1]
-    for i in range(1, n + 1):
-        coeffs = [(2 * i - 1) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    scale = 2**n * math.factorial(n)
-    return tuple(Fraction(c * 4**k, scale) for k, c in enumerate(coeffs))
-
-
-def gauss_decomposition_typeb(n: int) -> tuple[list[list[Fraction]], tuple[Fraction, ...]]:
-    """Factor the signed-contingency table as Q * D * Q^t with Q = P^{-1} * V
-    upper triangular and D positive diagonal, both in closed form.  Returns
-    Q as rows and the diagonal of D.
-
-    Q is invertible (its diagonal is 0!, 1!, ..., n!), so the exact
-    reconstruction Q * D * Q^t = T alone proves T congruent to the diagonal
-    D.  Any failed structural check is a fatal defect and raises
-    AssertionError.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    q = inverse_pascal_times(vandermonde_half_nodes(n))
-    diag = _half_node_diagonal(n)
-    if any(q[i][j] != 0 for i in range(n + 1) for j in range(i)):
-        raise AssertionError(f"type-B factorization: Q is not upper triangular (n={n})")
-    if any(x <= 0 for x in diag):
-        raise AssertionError(f"type-B factorization: D has a nonpositive entry (n={n})")
-    from .typeb import scm_table
-
-    # with Q upper triangular, (Q D Q^t)_ij = sum over k >= max(i, j) of Q_ik D_kk Q_jk
-    table = scm_table(n)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if sum(q[i][k] * diag[k] * q[j][k] for k in range(max(i, j), n + 1)) != table[i][j]:
-                raise AssertionError(
-                    f"type-B factorization: Q D Q^t differs from the table at ({i}, {j}) (n={n})"
-                )
-    return q, diag

@@ -1,18 +1,18 @@
-"""Signed contingency matrices and the closed-form type-B pipeline.
+"""Signed contingency matrices and the closed-form type-B pipeline, in
+python ints.
 
 Counting goes through generalized signed contingency matrices,
 |GSCM_n(p, q)| = C(2pq + p + q + n, n); the counts of signed contingency
 matrices, and with them the type-B metamatrix, fall out by conjugating that
-table with the inverse Pascal matrix (and reversing indices), all in python
-ints.  The exhaustive enumeration of signed contingency matrices is the
-tests' reference (`tests/references.py`).
+table with the inverse Pascal matrix (and reversing indices).  The SCM table T
+factors as 2^n n! T = Q C Q^t, which is why it is totally positive.  The
+tests' reference enumerates the matrices (`tests/references.py`).
 """
 
 from __future__ import annotations
 
 import math
 
-from .exactlinear import conjugate_by_inverse_pascal
 from .tables import Metamatrix
 
 
@@ -30,9 +30,26 @@ def L_matrix(n: int) -> list[list[int]]:
     return [[gscm_count(n, p, q) for q in range(n + 1)] for p in range(n + 1)]
 
 
+def _forward_differences(x) -> list:
+    """P^{-1} x = ((Delta^i x)_0 for i < len(x)), as (P^{-1})_ij = (-1)^(i-j) C(i, j)."""
+    out = []
+    while x:
+        out.append(x[0])
+        x = [b - a for a, b in zip(x, x[1:])]
+    return out
+
+
+def conjugate_by_inverse_pascal(grid: list[list]) -> list[list]:
+    """T = P^{-1} * L * (P^{-1})^t for a square L given as rows: forward
+    differences down each column of L, then along each row."""
+    if any(len(row) != len(grid) for row in grid):
+        raise ValueError("square matrix required")
+    columns = [_forward_differences(col) for col in zip(*grid)]
+    return [_forward_differences(row) for row in zip(*columns)]
+
+
 def scm_table(n: int) -> list[list[int]]:
-    """The (n+1)x(n+1) table T with T_pq = |SCM_n(p, q)|, from the closed
-    form: T = P^{-1} * L * (P^{-1})^t."""
+    """The table T_pq = |SCM_n(p, q)|, 0 <= p, q <= n, as P^{-1} * L * (P^{-1})^t."""
     return conjugate_by_inverse_pascal(L_matrix(n))
 
 
@@ -47,6 +64,39 @@ def scm_count_closed(n: int, p: int, q: int) -> int:
         row = sum((-1) ** (q - j) * math.comb(q, j) * gscm_count(n, i, j) for j in range(q + 1))
         total += (-1) ** (p - i) * math.comb(p, i) * row
     return total
+
+
+def gauss_decomposition_typeb(n: int) -> tuple[list[list[int]], list[int]]:
+    """Factor the signed-contingency table T of rank n as 2^n n! T = Q C Q^t in
+    python ints, with Q upper triangular and C a positive diagonal; returns Q
+    as rows and the diagonal c of C.  As 2^n n! L_pq is
+    prod_{i=1..n} ((2p+1)(2q+1) + 2i - 1), c_k is the coefficient of t^k in
+    prod_{i=1..n} (t + 2i - 1), and Q_ik = sum_j (-1)^(i-j) C(i, j) (2j+1)^k.
+    By the Leibniz rule for differences, Q_0k = 1 and
+    Q_ik = (2i+1) Q_i,k-1 + 2i Q_i-1,k-1, so Q_kk = 2^k k!.  Q is invertible,
+    so the exact reconstruction proves T congruent to C.  A failed check is
+    a fatal defect and raises AssertionError."""
+    table = scm_table(n)  # raises ValueError unless n >= 1
+    q = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(1, k + 1):
+            q[i][k] = (2 * i + 1) * q[i][k - 1] + 2 * i * q[i - 1][k - 1]
+    c = [1]
+    for i in range(1, n + 1):
+        c = [(2 * i - 1) * a + b for a, b in zip(c + [0], [0] + c)]
+    if any(q[i][k] != 0 for i in range(n + 1) for k in range(i)):
+        raise AssertionError(f"type-B factorization: Q is not upper triangular (n={n})")
+    if any(x <= 0 for x in c):
+        raise AssertionError(f"type-B factorization: C has a nonpositive entry (n={n})")
+    # with Q upper triangular, (Q C Q^t)_ij = sum over k >= max(i, j) of Q_ik c_k Q_jk
+    scale = 2**n * math.factorial(n)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            got = sum(q[i][k] * c[k] * q[j][k] for k in range(max(i, j), n + 1))
+            if got != scale * table[i][j]:
+                raise AssertionError(f"type-B factorization: Q C Q^t differs from the table "
+                                     f"at ({i}, {j}) (n={n})")
+    return q, c
 
 
 def metamatrix_typeb(n: int) -> Metamatrix:

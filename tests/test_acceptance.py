@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, exact equality throughout, with
 an explicit pass/fail line per criterion."""
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -12,12 +13,8 @@ from definitional import coset_counts, mask, subsets
 from metamatrix.coxeter import build_system
 from metamatrix.engine import accumulate_ntable, double_coset_count, metamatrix_bruteforce
 from metamatrix.tables import dihedral_ntable, metamatrix_from_ntable
-from metamatrix.tp import (
-    all_minors_positive,
-    fekete_check,
-    gauss_decomposition_typeb,
-)
-from metamatrix.typeb import gscm_count, metamatrix_typeb, scm_table
+from metamatrix.tp import all_minors_positive, fekete_check
+from metamatrix.typeb import gauss_decomposition_typeb, gscm_count, metamatrix_typeb, scm_table
 from references import (
     binomial_sum,
     det,
@@ -148,13 +145,16 @@ def test_criterion_07_transform_relation():
 
 
 def test_criterion_08_decomposition():
-    with criterion(8, "Q upper triangular, D positive diagonal, exact reconstruction"):
+    with criterion(8, "Q upper triangular, C positive diagonal, 2^n n! T = Q C Q^t in ints"):
         for n in range(1, 9):
-            q, d = gauss_decomposition_typeb(n)
+            q, c = gauss_decomposition_typeb(n)
             assert is_upper_triangular(q)
-            assert all(x > 0 for x in d)
-            d_mat = [[d[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-            assert matmul(matmul(q, d_mat), transpose(q)) == scm_table(n)
+            assert all(x > 0 for x in c)
+            c_mat = [[c[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+            scale = 2**n * math.factorial(n)
+            assert matmul(matmul(q, c_mat), transpose(q)) == [
+                [scale * x for x in row] for row in scm_table(n)
+            ]
 
 
 def _reference_matrices():

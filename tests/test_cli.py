@@ -68,6 +68,16 @@ class TestCompute:
         res = runner.invoke(main, ["compute", "--family", "I2"])
         assert res.exit_code == 2
 
+    def test_i2_rejects_other_rank(self, runner):
+        res = runner.invoke(main, ["compute", "--family", "I2", "--m", "5", "--rank", "7"])
+        assert res.exit_code == 2
+        assert (res.stdout, res.stderr) == ("", "Error: family I2 has rank 2, not 7\n")
+
+    def test_m_only_for_i2(self, runner):
+        res = runner.invoke(main, ["compute", "--family", "A", "--rank", "3", "--m", "4"])
+        assert res.exit_code == 2
+        assert (res.stdout, res.stderr) == ("", "Error: --m applies only to family I2\n")
+
     def test_unknown_family(self, runner):
         res = runner.invoke(main, ["compute", "--family", "Q", "--rank", "3"])
         assert res.exit_code == 2

@@ -80,6 +80,12 @@ class TestMetamatrixFromNtable:
         b = Metamatrix(1, ((2, 1), (1, 1)), "oracle")
         assert a == b
 
+    def test_equal_results_hash_alike(self):
+        a = Metamatrix(1, ((1,),), "x")
+        b = Metamatrix(1, ((1,),), "y")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_typeb_agreement(self, n):
         assert enumerated_metamatrix("B", n) == metamatrix_typeb(n)

@@ -5,18 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metamatrix.exactlinear import (
-    Matrix,
-    bareiss_det,
-    conjugate_by_inverse_pascal,
-    inverse_pascal_times,
-    vandermonde_half_nodes,
-)
+from metamatrix.exactlinear import Matrix, bareiss_det
+from metamatrix.typeb import conjugate_by_inverse_pascal
 from references import (
     gen_binom,
     identity,
     invert_lower_triangular,
-    is_upper_triangular,
     matmul,
     pascal_matrix,
     transpose,
@@ -107,14 +101,6 @@ class TestPascalVandermonde:
         inv = invert_lower_triangular(pascal_matrix(2))
         assert inv == [[1, 0, 0], [-1, 1, 0], [1, -2, 1]]
 
-    def test_vandermonde_entries(self):
-        v = vandermonde_half_nodes(1)
-        assert v == [[1, Fraction(1, 2)], [1, Fraction(3, 2)]]
-        assert vandermonde_half_nodes(2)[2][2] == Fraction(25, 4)
-
-    def test_vandermonde_det(self):
-        assert bareiss_det(Matrix.from_rows(vandermonde_half_nodes(2))) == 2
-
 
 class TestInvertLowerTriangular:
     def test_identity(self):
@@ -161,13 +147,6 @@ class TestConjugateByInversePascal:
 
 
 class TestIdentities:
-    def test_q_upper_triangular(self):
-        for n in range(11):
-            v = vandermonde_half_nodes(n)
-            q = matmul(invert_lower_triangular(pascal_matrix(n)), v)
-            assert is_upper_triangular(q)
-            assert inverse_pascal_times(v) == q
-
     def test_alternating_identity_examples(self):
         assert verify_alternating_identity(1, 1)
         assert verify_alternating_identity(2, 3)

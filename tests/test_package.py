@@ -34,7 +34,7 @@ EXPORTS = [
     ("TPCertificate", "tp"),
     ("all_minors_positive", "tp"),
     ("fekete_check", "tp"),
-    ("gauss_decomposition_typeb", "tp"),
+    ("gauss_decomposition_typeb", "typeb"),
     ("metamatrix_typeb", "typeb"),
 ]
 
@@ -109,7 +109,9 @@ class TestLazyCommands:
         assert got == dict.fromkeys(modules, False)
 
     def test_type_b_formula_loads_no_enumeration(self):
-        modules = ["metamatrix.coxeter", "metamatrix.engine"]
+        # nor the rational arithmetic: the formula is in python ints
+        modules = ["metamatrix.coxeter", "metamatrix.engine", "fractions",
+                   "metamatrix.exactlinear", "metamatrix.tp"]
         got = loaded_after(cli_run(["compute", "--family", "B", "--rank", "8"]), modules)
         assert got == dict.fromkeys(modules, False)
 

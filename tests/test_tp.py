@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from metamatrix import tp
-from metamatrix.exactlinear import conjugate_by_inverse_pascal
-from metamatrix.tp import (
-    ALL_MINORS_SIZE_CAP,
-    all_minors_positive,
-    fekete_check,
+from metamatrix import tp, typeb
+from metamatrix.tp import ALL_MINORS_SIZE_CAP, all_minors_positive, fekete_check
+from metamatrix.typeb import (
+    conjugate_by_inverse_pascal,
     gauss_decomposition_typeb,
+    metamatrix_typeb,
+    scm_table,
 )
-from metamatrix.typeb import metamatrix_typeb, scm_table
 from references import (
     det,
     identity,
@@ -117,29 +116,54 @@ class TestWitnessReevaluation:
 
 
 class TestGaussDecomposition:
+    """2^n n! T = Q C Q^t for the type-B table T, in python ints."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_structure(self, n):
-        q, d = gauss_decomposition_typeb(n)
+        q, c = gauss_decomposition_typeb(n)
+        assert all(type(x) is int for row in q + [c] for x in row)
         assert is_upper_triangular(q)
-        assert len(d) == n + 1 and all(x > 0 for x in d)
-        d_mat = [[d[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-        assert matmul(matmul(q, d_mat), transpose(q)) == scm_table(n)
-        assert [q[k][k] for k in range(n + 1)] == [math.factorial(k) for k in range(n + 1)]
+        assert len(c) == n + 1 and all(x > 0 for x in c)
+        c_mat = [[c[i] if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+        scale = 2**n * math.factorial(n)
+        assert matmul(matmul(q, c_mat), transpose(q)) == [
+            [scale * x for x in row] for row in scm_table(n)
+        ]
+        assert [q[k][k] for k in range(n + 1)] == [
+            2**k * math.factorial(k) for k in range(n + 1)
+        ]
 
     def test_n1_diagonal(self):
-        _, d = gauss_decomposition_typeb(1)
-        assert list(d) == [Fraction(1, 2), Fraction(2)]
+        q, c = gauss_decomposition_typeb(1)
+        assert q == [[1, 1], [0, 2]]
+        assert c == [1, 1]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_definition(self, n):
+        # Q_ik = sum_j (-1)^(i-j) C(i, j) (2j+1)^k, and c_k = e_{n-k}(1, 3, ..., 2n-1),
+        # the coefficient of t^k in prod_{i=1..n} (t + 2i - 1)
+        q, c = gauss_decomposition_typeb(n)
+        assert q == [
+            [
+                sum((-1) ** (i - j) * math.comb(i, j) * (2 * j + 1) ** k for j in range(i + 1))
+                for k in range(n + 1)
+            ]
+            for i in range(n + 1)
+        ]
+        odd = range(1, 2 * n, 2)
+        assert c == [
+            sum(math.prod(roots) for roots in combinations(odd, n - k)) for k in range(n + 1)
+        ]
 
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             gauss_decomposition_typeb(0)
 
     def test_wrong_diagonal_fails_reconstruction(self, monkeypatch):
-        right = tp._half_node_diagonal
-        monkeypatch.setattr(
-            tp, "_half_node_diagonal", lambda n: right(n)[:-1] + (right(n)[-1] + 1,)
-        )
-        with pytest.raises(AssertionError, match="Q D Q\\^t differs from the table"):
+        forged = typeb.scm_table(4)
+        forged[4][4] += 1  # a wrong diagonal entry of T
+        monkeypatch.setattr(typeb, "scm_table", lambda n: forged)
+        with pytest.raises(AssertionError, match="Q C Q\\^t differs from the table"):
             gauss_decomposition_typeb(4)
 
 
