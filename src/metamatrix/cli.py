@@ -7,11 +7,14 @@ unknown command or option, a missing or malformed value) is argparse's: a
 `usage:` line and the message on stderr.  Every other error prints one
 `Error: <msg>` line.  All big integers are read and emitted as decimal
 strings so output is lossless at any magnitude: the CLI lifts Python's
-int/str digit limit when it runs.  Matrices are lists of rows, and
-`scm-count` answers any n from the closed form.
+int/str digit limit when it runs; a JSON number is read from its literal,
+never through a float.  Matrices are lists of rows, and `scm-count` answers
+any n from the closed form.
 
 `_legs` alone chooses a system's pipelines: `formula` for B at any rank and
 I2 at any m, `enumeration` and `oracle` where the catalog has the system.
+The results are plain data: the CLI names the leg it ran (`"pipeline"`) and
+the certifier (`"method"`; `auto` runs `fekete`) in what it prints.
 N-tables are cached only under `--cache-dir`; without it a run writes
 nothing, so what it does depends on its arguments alone.
 
@@ -204,7 +207,7 @@ def _legs(fam: str, rank: int, m: int | None, cache: str | None) -> dict[str, Ca
     if fam == "B":
         legs["formula"] = lambda: _type_b(rank)
     elif fam == "I2":
-        legs["formula"] = lambda: metamatrix_from_ntable(dihedral_ntable(m), provenance="formula")
+        legs["formula"] = lambda: metamatrix_from_ntable(dihedral_ntable(m))
     if in_catalog(fam, rank, m):
         legs["enumeration"] = lambda: _enumeration(build_system(fam, rank, m), cache)
         legs["oracle"] = lambda: _oracle(build_system(fam, rank, m))
@@ -213,12 +216,14 @@ def _legs(fam: str, rank: int, m: int | None, cache: str | None) -> dict[str, Ca
     return legs
 
 
-def _check_invariants(result: Metamatrix, fam: str, rank: int, m: int | None) -> None:
-    """Raise AssertionError (exit 4: a defect, not a verdict) when `result`
-    fails the metamatrix invariants of the group it claims to describe."""
+def _check_invariants(result: Metamatrix, pipeline: str, fam: str, rank: int,
+                      m: int | None) -> None:
+    """Raise AssertionError (exit 4: a defect, not a verdict) when `result`,
+    computed by `pipeline`, fails the metamatrix invariants of the group it
+    claims to describe."""
     failure = metamatrix_invariant_failure(result, _group_order(fam, rank, m))
     if failure is not None:
-        raise AssertionError(f"{system_label(fam, rank, m)} {result.provenance}: {failure}")
+        raise AssertionError(f"{system_label(fam, rank, m)} {pipeline}: {failure}")
 
 
 # --method value -> the leg it names
@@ -232,16 +237,16 @@ def compute(args) -> int:
     method = args.method
     if method is None:
         method = "formula" if "formula" in legs else "enumerate"
-    leg = legs.get(_METHODS[method])
-    if leg is None:
-        applicable = " or ".join(name for name, leg_name in _METHODS.items() if leg_name in legs)
+    pipeline = _METHODS[method]
+    if pipeline not in legs:
+        applicable = " or ".join(option for option, leg in _METHODS.items() if leg in legs)
         raise UsageError(
             f"--method {method} does not apply to {system_label(fam, rank, m)}; "
             f"use --method {applicable}"
         )
-    result = leg()
-    _check_invariants(result, fam, rank, m)
-    _emit_matrix(result.entries, args.fmt, fam, rank, m, result.provenance)
+    result = legs[pipeline]()
+    _check_invariants(result, pipeline, fam, rank, m)
+    _emit_matrix(result.entries, args.fmt, fam, rank, m, pipeline)
     return 0
 
 
@@ -260,7 +265,8 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
         raise ValueError("empty matrix input")
     stripped = text.lstrip()
     if stripped[0] in "{[":
-        payload = json.loads(text)
+        # numbers are read from their literals, not rounded through float
+        payload = json.loads(text, parse_float=str)
         if isinstance(payload, dict) and "matrix" not in payload:
             raise ValueError('the JSON object has no "matrix" key')
         grid = payload["matrix"] if isinstance(payload, dict) else payload
@@ -303,9 +309,7 @@ def check_tp(args) -> int:
             raise ValueError(f"matrix is {size}x{len(matrix[0])}, not square")
     except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting recurses
         raise UsageError(f"cannot read matrix: {exc}")
-    method = args.method
-    if method == "auto":
-        method = "all-minors" if size <= 9 else "fekete"
+    method = "fekete" if args.method == "auto" else args.method
     if method == "all-minors" and size > tp.ALL_MINORS_SIZE_CAP:
         raise UsageError(
             f"--method all-minors is capped at size {tp.ALL_MINORS_SIZE_CAP} "
@@ -317,8 +321,8 @@ def check_tp(args) -> int:
         witness = {"rows": list(witness.rows), "cols": list(witness.cols),
                    "minor": str(witness.minor)}
     payload = {
-        "verdict": cert.verdict,
-        "method": cert.method,
+        "verdict": "totally-positive" if cert.is_totally_positive else "not-totally-positive",
+        "method": method,
         "minors_checked": cert.minors_checked,
         "witness": witness,
     }
@@ -337,8 +341,8 @@ def verify(args) -> int:
         if _group_order(fam, rank, m) > engine.ORACLE_LIMIT:
             del legs["oracle"]
     results = {name: leg() for name, leg in sorted(legs.items())}
-    for result in results.values():
-        _check_invariants(result, fam, rank, m)
+    for name, result in results.items():
+        _check_invariants(result, name, fam, rank, m)
 
     names = list(results)
     reference_name = names[0]
@@ -439,7 +443,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     sub.add_argument("--format", dest="fmt", choices=formats, default="pretty")
     sub = command("check-tp", check_tp, system=False)
     sub.add_argument("source")
-    sub.add_argument("--method", choices=["auto", "all-minors", "fekete"], default="auto")
+    sub.add_argument("--method", choices=["auto", "all-minors", "fekete"], default="auto",
+                     help="certifier (default: auto, which runs fekete)")
     command("verify", verify)
     command("ntable", ntable).add_argument("--format", dest="fmt", choices=formats, default="json")
     sub = command("scm-count", scm_count, system=False)

@@ -180,7 +180,7 @@ def metamatrix_bruteforce(system: CoxeterSystem) -> Metamatrix:
                     total += double_coset_count(system, left, right)
             row.append(total)
         entries.append(tuple(row))
-    return Metamatrix(n=n, entries=tuple(entries), provenance="oracle")
+    return Metamatrix(n=n, entries=tuple(entries))
 
 
 def nonneg_grid(a, b):

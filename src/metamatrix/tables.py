@@ -141,21 +141,11 @@ class NTable(NamedTuple):
 
 
 class Metamatrix(NamedTuple):
-    """The (n+1)x(n+1) table and the pipeline that produced it; two are equal
-    when their entries are."""
+    """The (n+1)x(n+1) table M_pq = sum over |I| = p, |J| = q of
+    |W_I \\ W / W_J|."""
 
     n: int
     entries: tuple[tuple[int, ...], ...]
-    provenance: str
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Metamatrix) and self.entries == other.entries
-
-    def __ne__(self, other: object) -> bool:  # a tuple's own != compares every field
-        return not self == other
-
-    def __hash__(self) -> int:  # a tuple's own hash covers every field
-        return hash(self.entries)
 
 
 def dihedral_ntable(m: int) -> NTable:
@@ -167,7 +157,7 @@ def dihedral_ntable(m: int) -> NTable:
     return NTable(n=2, counts=tuple(tuple(r) for r in counts))
 
 
-def metamatrix_from_ntable(table: NTable, provenance: str = "enumeration") -> Metamatrix:
+def metamatrix_from_ntable(table: NTable) -> Metamatrix:
     """M_pq = sum_ij C(i,p) C(j,q) N_ij."""
     n = table.n
     entries = []
@@ -182,7 +172,7 @@ def metamatrix_from_ntable(table: NTable, provenance: str = "enumeration") -> Me
                 )
             )
         entries.append(tuple(row))
-    return Metamatrix(n=n, entries=tuple(entries), provenance=provenance)
+    return Metamatrix(n=n, entries=tuple(entries))
 
 
 def ntable_invariant_failure(table: NTable, order: int) -> str | None:

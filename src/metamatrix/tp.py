@@ -31,14 +31,15 @@ class MinorWitness(NamedTuple):
 
 
 class TPCertificate(NamedTuple):
-    verdict: str  # "totally-positive" | "not-totally-positive"
-    method: str  # "all-minors" | "fekete"
+    """How many minors a scan checked, and the first one <= 0 (None when the
+    matrix is totally positive)."""
+
     minors_checked: int
     witness: MinorWitness | None
 
     @property
     def is_totally_positive(self) -> bool:
-        return self.verdict == "totally-positive"
+        return self.witness is None
 
 
 def _all_minors(grid: list[list[int]]):
@@ -103,9 +104,8 @@ def all_minors_positive(a) -> TPCertificate:
                     f"minor {rows}x{cols} is {value} by expansion, {again} by Bareiss"
                 )
             scale = math.prod(scales[i] for i in rows)
-            witness = MinorWitness(rows, cols, Fraction(value, scale))
-            return TPCertificate("not-totally-positive", "all-minors", checked, witness)
-    return TPCertificate("totally-positive", "all-minors", checked, None)
+            return TPCertificate(checked, MinorWitness(rows, cols, Fraction(value, scale)))
+    return TPCertificate(checked, None)
 
 
 def _solid_minors(grid: list[list[int]]):
@@ -161,5 +161,5 @@ def fekete_check(a) -> TPCertificate:
                 tuple(range(j, j + k)),
                 Fraction(value, math.prod(scales[i : i + k])),
             )
-            return TPCertificate("not-totally-positive", "fekete", checked, witness)
-    return TPCertificate("totally-positive", "fekete", checked, None)
+            return TPCertificate(checked, witness)
+    return TPCertificate(checked, None)

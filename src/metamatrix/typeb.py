@@ -105,4 +105,4 @@ def metamatrix_typeb(n: int) -> Metamatrix:
     entries = tuple(
         tuple(t[n - p][n - q] for q in range(n + 1)) for p in range(n + 1)
     )
-    return Metamatrix(n=n, entries=entries, provenance="formula")
+    return Metamatrix(n=n, entries=entries)

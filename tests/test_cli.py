@@ -325,6 +325,115 @@ class TestCheckTp:
         res = runner.invoke(main, ["check-tp", str(src), "--method", "fekete"])
         assert json.loads(res.output)["method"] == "fekete"
 
+    def test_auto_runs_fekete(self, runner):
+        # a 9x9 table, which auto once scanned by all minors (48,619 of them)
+        res = runner.invoke(main, ["check-tp", "-"], input=json.dumps(golden.E8))
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert (payload["method"], payload["minors_checked"]) == ("fekete", 285)
+
+
+def certificate(verdict, method, checked, witness=None):
+    return {"verdict": verdict, "method": method, "minors_checked": checked, "witness": witness}
+
+
+class TestCliNamesWhatItRan:
+    """The results are plain data; the CLI prints the names of the pipeline
+    and the certifier it chose."""
+
+    @pytest.mark.parametrize(
+        "spec", [["--family", "B", "--rank", "3"], ["--family", "I2", "--m", "5"]],
+        ids=["B3", "I2m5"],
+    )
+    @pytest.mark.parametrize(
+        "method,leg",
+        [(None, "formula"), ("formula", "formula"), ("enumerate", "enumeration"),
+         ("oracle", "oracle")],
+    )
+    def test_compute_json_names_the_leg(self, runner, spec, method, leg):
+        args = ["compute", *spec, "--format", "json"]
+        args += [] if method is None else ["--method", method]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["pipeline"] == leg
+
+    POSITIVE = [[1, 1, 1], [1, 2, 3], [1, 3, 6]]
+    NEGATIVE = [[5, 2, 1], [2, 1, 1], [1, 1, 1]]
+    ZERO_WINDOW = {"rows": [1, 2], "cols": [1, 2], "minor": "0"}
+
+    @pytest.mark.parametrize(
+        "matrix,method,code,payload",
+        [
+            (POSITIVE, "all-minors", 0, certificate("totally-positive", "all-minors", 19)),
+            (POSITIVE, "fekete", 0, certificate("totally-positive", "fekete", 14)),
+            (NEGATIVE, "all-minors", 1,
+             certificate("not-totally-positive", "all-minors", 18, ZERO_WINDOW)),
+            (NEGATIVE, "fekete", 1,
+             certificate("not-totally-positive", "fekete", 13, ZERO_WINDOW)),
+        ],
+        ids=["positive-all-minors", "positive-fekete", "negative-all-minors", "negative-fekete"],
+    )
+    def test_check_tp_json(self, runner, matrix, method, code, payload):
+        res = runner.invoke(main, ["check-tp", "-", "--method", method], input=json.dumps(matrix))
+        assert res.exit_code == code
+        assert res.stdout == json.dumps(payload, indent=2) + "\n"
+
+
+# JSON number literals (RFC 8259): sign, integer part, optional fraction and
+# exponent.  Each is also a valid Fraction literal, so it can be written as a
+# JSON number, a JSON string or a grid token.
+NUMBER_LITERALS = st.builds(
+    lambda sign, whole, frac, exp: f"{sign}{whole}{frac and '.' + frac}{exp}",
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**22).map(str),
+    st.text(alphabet="0123456789", max_size=22),
+    st.sampled_from(["", "e"]).flatmap(
+        lambda e: st.just("") if not e else st.integers(-25, 25).map(lambda x: f"e{x}")
+    ),
+)
+NUMBER_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(NUMBER_LITERALS, min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+)
+
+
+class TestJsonNumbers:
+    """check-tp reads a JSON number from its literal, not through a float."""
+
+    def test_entry_beyond_float_precision(self, runner):
+        # determinant 10^-20: totally positive, though 1.00000000000000000001
+        # rounds to the float 1.0, whose determinant is 0
+        res = runner.invoke(main, ["check-tp", "-"],
+                            input="[[1.00000000000000000001, 1], [1, 1]]")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["verdict"] == "totally-positive"
+
+    def test_entry_beyond_float_range(self, runner):
+        res = runner.invoke(main, ["check-tp", "-"], input="[[1e400]]")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["verdict"] == "totally-positive"
+
+    def test_parsed_exactly(self):
+        from fractions import Fraction
+
+        rows = cli._parse_matrix_text("[[0.1, 1e-400], [2.5E+3, 0.12345678901234567890123]]")
+        assert rows == [[Fraction(1, 10), Fraction(1, 10**400)],
+                        [2500, Fraction(12345678901234567890123, 10**23)]]
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(matrix=NUMBER_MATRICES, method=st.sampled_from(["auto", "all-minors", "fekete"]))
+    def test_numbers_strings_and_grid_agree(self, runner, matrix, method):
+        texts = [
+            "[" + ", ".join("[" + ", ".join(row) + "]" for row in matrix) + "]",
+            json.dumps(matrix),
+            "\n".join(" ".join(row) for row in matrix),
+        ]
+        results = [runner.invoke(main, ["check-tp", "-", "--method", method], input=text)
+                   for text in texts]
+        assert results[0].exit_code in (0, 1), results[0].output
+        assert len({(res.exit_code, res.output) for res in results}) == 1
+
 
 class TestVerify:
     def test_b3_all_legs_agree(self, runner, tmp_path):
@@ -554,7 +663,7 @@ class TestBigIntegers:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {
             "verdict": "totally-positive",
-            "method": "all-minors",
+            "method": "fekete",
             "minors_checked": 1,
             "witness": None,
         }
@@ -736,7 +845,7 @@ class TestGroupArgsFuzz:
 
 
 class TestInternalError:
-    BAD_B2 = Metamatrix(n=2, entries=((8, 8, 1), (8, 10, 2), (1, 2, 2)), provenance="formula")
+    BAD_B2 = Metamatrix(n=2, entries=((8, 8, 1), (8, 10, 2), (1, 2, 2)))
 
     @pytest.mark.parametrize("command", ["compute", "verify"])
     def test_metamatrix_invariant_failure_exits_4(self, runner, monkeypatch, command):

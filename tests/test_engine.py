@@ -75,16 +75,15 @@ class TestMetamatrixFromNtable:
             dihedral_ntable(m)
         )
 
-    def test_equality_ignores_provenance(self):
-        a = Metamatrix(1, ((2, 1), (1, 1)), "formula")
-        b = Metamatrix(1, ((2, 1), (1, 1)), "oracle")
-        assert a == b
+    def test_holds_the_table_only(self):
+        assert Metamatrix._fields == ("n", "entries")
 
     def test_equal_results_hash_alike(self):
-        a = Metamatrix(1, ((1,),), "x")
-        b = Metamatrix(1, ((1,),), "y")
+        a = Metamatrix(1, ((2, 1), (1, 1)))
+        b = Metamatrix(1, ((2, 1), (1, 1)))
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+        assert a != Metamatrix(1, ((2, 1), (1, 2)))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_typeb_agreement(self, n):
@@ -161,7 +160,7 @@ class TestMetamatrixInvariants:
     B2 = ((8, 8, 1), (8, 10, 2), (1, 2, 1))
 
     def test_valid_metamatrix(self):
-        assert metamatrix_invariant_failure(Metamatrix(2, self.B2, "formula"), 8) is None
+        assert metamatrix_invariant_failure(Metamatrix(2, self.B2), 8) is None
 
     @pytest.mark.parametrize(
         "entries,order,reason",
@@ -174,14 +173,14 @@ class TestMetamatrixInvariants:
         ],
     )
     def test_bad_metamatrices(self, entries, order, reason):
-        bad = Metamatrix(2, entries, "formula")
+        bad = Metamatrix(2, entries)
         assert reason in metamatrix_invariant_failure(bad, order)
 
     @pytest.mark.parametrize(
         "family,rank,m,table", list(GOLDEN_TABLES.values()), ids=list(GOLDEN_TABLES)
     )
     def test_golden_tables_pass(self, family, rank, m, table):
-        metamatrix = Metamatrix(rank, tuple(map(tuple, table)), "golden")
+        metamatrix = Metamatrix(rank, tuple(map(tuple, table)))
         assert metamatrix_invariant_failure(metamatrix, _group_order(family, rank, m)) is None
 
 
