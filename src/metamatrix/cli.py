@@ -8,8 +8,10 @@ unknown command or option, a missing or malformed value) is argparse's: a
 `Error: <msg>` line.  All big integers are read and emitted as decimal
 strings so output is lossless at any magnitude: the CLI lifts Python's
 int/str digit limit when it runs; a JSON number is read from its literal,
-never through a float.  Matrices are lists of rows, and `scm-count` answers
-any n from the closed form.
+never through a float.  Matrices are lists of rows; `check-tp` reads its
+grid or JSON matrix through `_parse_matrix_text` alone, which refuses a
+decimal exponent beyond `MAX_EXPONENT`.  `scm-count` answers any n from the
+closed form.
 
 `_legs` alone chooses a system's pipelines: `formula` for B at any rank and
 I2 at any m, `enumeration` and `oracle` where the catalog has the system.
@@ -250,49 +252,56 @@ def compute(args) -> int:
     return 0
 
 
+# the largest decimal exponent, in magnitude, that a check-tp matrix entry may carry
+MAX_EXPONENT = 1000
+
+
 def _parse_matrix_text(text: str) -> list[list[Fraction]]:
-    """The rows of a JSON or whitespace-grid matrix; raises ValueError on
-    input that is not a nonempty matrix with rows of one length."""
+    """The rows of a JSON or whitespace-grid matrix of N rows of N entries.
+    Raises ValueError, naming the line (grid) or row (JSON) and the column,
+    both counted from 1, on input that is not such a matrix, and on an entry
+    whose decimal exponent exceeds MAX_EXPONENT in magnitude, before its
+    value is built."""
+    import re
     from fractions import Fraction
 
-    def entry(token: str) -> Fraction:
-        try:
-            return Fraction(token)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {token!r}")
-
-    if not text.strip():
-        raise ValueError("empty matrix input")
-    stripped = text.lstrip()
-    if stripped[0] in "{[":
+    if text.lstrip()[:1] in ("{", "["):
         # numbers are read from their literals, not rounded through float
-        payload = json.loads(text, parse_float=str)
+        payload = json.loads(text, parse_float=str, parse_int=str)
         if isinstance(payload, dict) and "matrix" not in payload:
             raise ValueError('the JSON object has no "matrix" key')
         grid = payload["matrix"] if isinstance(payload, dict) else payload
         if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
             raise ValueError("the matrix must be a list of rows")
-        if not grid:
-            raise ValueError("the matrix has no rows")
-        rows = [[entry(str(x)) for x in row] for row in grid]
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("ragged rows")
-        return rows
+        token_rows = [(f"row {r}", [str(x) for x in row]) for r, row in enumerate(grid, start=1)]
+    else:
+        token_rows = [(f"line {ln}", line.split())
+                      for ln, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not token_rows:
+        raise ValueError("the matrix has no rows")
+    # the exponent as Fraction reads it: signed, with _ separators, before
+    # trailing whitespace
+    exponent = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+    size = len(token_rows)
     rows = []
-    width = None
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for place, tokens in token_rows:
+        if len(tokens) != size:
+            raise ValueError(f"{place}: expected {size} entries (the matrix has {size} rows), "
+                             f"got {len(tokens)}")
         row = []
-        for col, tok in enumerate(line.split(), start=1):
-            try:
-                row.append(entry(tok))
-            except ValueError:
-                raise ValueError(f"line {ln}, column {col}: cannot parse {tok!r}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"line {ln}: expected {width} entries, got {len(row)}")
+        for col, token in enumerate(tokens, start=1):
+            found = exponent.search(token)
+            if found and abs(int(found[1])) > MAX_EXPONENT:
+                problem = f"exponent beyond ±{MAX_EXPONENT} in"
+            else:
+                try:
+                    row.append(Fraction(token))
+                    continue
+                except ZeroDivisionError:
+                    problem = "zero denominator in"
+                except ValueError:
+                    problem = "cannot parse"
+            raise ValueError(f"{place}, column {col}: {problem} {token!r}")
         rows.append(row)
     return rows
 
@@ -304,11 +313,9 @@ def check_tp(args) -> int:
     try:
         text = sys.stdin.read() if args.source == "-" else Path(args.source).read_text()
         matrix = _parse_matrix_text(text)
-        size = len(matrix)
-        if len(matrix[0]) != size:
-            raise ValueError(f"matrix is {size}x{len(matrix[0])}, not square")
     except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting recurses
         raise UsageError(f"cannot read matrix: {exc}")
+    size = len(matrix)
     method = "fekete" if args.method == "auto" else args.method
     if method == "all-minors" and size > tp.ALL_MINORS_SIZE_CAP:
         raise UsageError(

@@ -183,11 +183,6 @@ def metamatrix_bruteforce(system: CoxeterSystem) -> Metamatrix:
     return Metamatrix(n=n, entries=tuple(entries))
 
 
-def nonneg_grid(a, b):
-    """Elementwise exact test a + b*phi >= 0 on integer arrays, as
-    `coxeter.is_nonneg` does for one pair.  No pipeline calls it; the tests
-    use it, and perfbench/tracing.py times it by this name."""
-    s = 2 * a + b
-    pos_b = (s >= 0) | (5 * b * b >= s * s)
-    neg_b = (s >= 0) & (s * s >= 5 * b * b)
-    return ((b >= 0) & pos_b) | ((b < 0) & neg_b)
+# `coxeter.is_nonneg` by the name the tests import and perfbench/tracing.py
+# times; no pipeline calls it
+nonneg_grid = is_nonneg

@@ -5,11 +5,12 @@ positive.  Two certifiers are provided: the definitional all-minors scan,
 which gets the minors of each size from those one size down by Laplace
 expansion, and the Fekete criterion (positivity of all minors on consecutive
 row and column windows implies strict total positivity), which gets those
-minors level by level by integer condensation.  Both work in exact integers
-on the rows scaled by the lcm of their denominators, and report a witness at
-its unscaled value; the all-minors witness is re-evaluated by Bareiss
-elimination before it is reported.  The structural reason the type-B tables
-are totally positive, their factorization, is in `typeb`.
+minors level by level by integer condensation.  Both run one scan, `_scan`,
+over their stream of minors: in exact integers on the rows scaled by the
+lcm of their denominators, stopping at the first minor <= 0, which is
+evaluated again by Bareiss elimination and reported at its unscaled value.
+The structural reason the type-B tables are totally positive, their
+factorization, is in `typeb`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,26 @@ class TPCertificate(NamedTuple):
     @property
     def is_totally_positive(self) -> bool:
         return self.witness is None
+
+
+def _scan(a, minors) -> TPCertificate:
+    """Count the minors that `minors` yields, as ``(rows, cols, det)``, on
+    the integer-scaled rows of the square matrix `a`, up to the first one
+    <= 0.  That one is evaluated again by Bareiss elimination, and a
+    mismatch raises AssertionError; it is reported at its unscaled value."""
+    grid, scales = _integer_rows(a)
+    checked = 0
+    for rows, cols, value in minors(grid):
+        checked += 1
+        if value <= 0:
+            again = _bareiss_int([[grid[i][j] for j in cols] for i in rows])
+            if again != value:
+                raise AssertionError(
+                    f"minor {rows}x{cols} is {value} by the scan, {again} by Bareiss"
+                )
+            scale = math.prod(scales[i] for i in rows)
+            return TPCertificate(checked, MinorWitness(rows, cols, Fraction(value, scale)))
+    return TPCertificate(checked, None)
 
 
 def _all_minors(grid: list[list[int]]):
@@ -86,31 +107,19 @@ def _all_minors(grid: list[list[int]]):
 
 
 def all_minors_positive(a) -> TPCertificate:
-    """Definitional check: every minor of every size, in lexicographic order,
-    on the integer-scaled rows of the square matrix `a`.  The first minor
-    <= 0 is evaluated again by Bareiss elimination before it is reported."""
-    grid, scales = _integer_rows(a)
-    if len(grid) > ALL_MINORS_SIZE_CAP:
+    """Definitional check: every minor of every size of the square matrix
+    `a`, in lexicographic order."""
+    if len(a) > ALL_MINORS_SIZE_CAP:
         raise ValueError(
             f"all-minors check capped at size {ALL_MINORS_SIZE_CAP}; use fekete_check"
         )
-    checked = 0
-    for rows, cols, value in _all_minors(grid):
-        checked += 1
-        if value <= 0:
-            again = _bareiss_int([[grid[i][j] for j in cols] for i in rows])
-            if again != value:
-                raise AssertionError(
-                    f"minor {rows}x{cols} is {value} by expansion, {again} by Bareiss"
-                )
-            scale = math.prod(scales[i] for i in rows)
-            return TPCertificate(checked, MinorWitness(rows, cols, Fraction(value, scale)))
-    return TPCertificate(checked, None)
+    return _scan(a, _all_minors)
 
 
 def _solid_minors(grid: list[list[int]]):
-    """Yield ``(k, i, j, det)`` for every k x k window starting at row i and
-    column j of an integer matrix, in the order k, then i, then j.
+    """Yield ``(rows, cols, det)`` for every k x k window of consecutive rows
+    and columns of a square integer matrix, in the order k, then first row,
+    then first column.
 
     Minors come from Desnanot-Jacobi condensation: with M_0 = 1 and M_1 the
     matrix itself,
@@ -122,14 +131,15 @@ def _solid_minors(grid: list[list[int]]):
     n = len(grid)
     for i in range(n):
         for j in range(n):
-            yield 1, i, j, grid[i][j]
+            yield (i,), (j,), grid[i][j]
     older, prev = [[1] * n] * n, grid
     for k in range(2, n + 1):
+        windows = [tuple(range(i, i + k)) for i in range(n - k + 1)]
         level = []
-        for i in range(n - k + 1):
+        for i, rows in enumerate(windows):
             top, bottom, below = prev[i], prev[i + 1], older[i + 1]
             row = []
-            for j in range(n - k + 1):
+            for j, cols in enumerate(windows):
                 value, rem = divmod(
                     top[j] * bottom[j + 1] - top[j + 1] * bottom[j], below[j + 1]
                 )
@@ -137,29 +147,14 @@ def _solid_minors(grid: list[list[int]]):
                     raise AssertionError(
                         f"inexact condensation at size {k}, window ({i}, {j})"
                     )
-                yield k, i, j, value
+                yield rows, cols, value
                 row.append(value)
             level.append(row)
         older, prev = prev, level
 
 
 def fekete_check(a) -> TPCertificate:
-    """Fekete criterion: minors on consecutive rows and consecutive columns of
-    the square matrix `a`, given as rows.
-
-    A totally-positive verdict here implies the all-minors verdict.  Rational
-    rows are first scaled to integers, which keeps every minor's sign; a
-    witness is reported at the unscaled value.
-    """
-    grid, scales = _integer_rows(a)
-    checked = 0
-    for k, i, j, value in _solid_minors(grid):
-        checked += 1
-        if value <= 0:
-            witness = MinorWitness(
-                tuple(range(i, i + k)),
-                tuple(range(j, j + k)),
-                Fraction(value, math.prod(scales[i : i + k])),
-            )
-            return TPCertificate(checked, witness)
-    return TPCertificate(checked, None)
+    """Fekete criterion: the minors on consecutive rows and consecutive
+    columns of the square matrix `a`.  A totally-positive verdict here
+    implies the all-minors verdict."""
+    return _scan(a, _solid_minors)

@@ -622,13 +622,14 @@ class TestScmCount:
         assert runner.invoke(main, ["scm-count", "2", "3", "1"]).exit_code == 2
 
 
-def run_cli(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+def run_cli(args: list[str], stdin: str = "", timeout: float = 120) -> subprocess.CompletedProcess:
     """`python -m metamatrix.cli ARGS` in a fresh interpreter on this source
-    tree, so no earlier invocation has changed interpreter-wide settings."""
+    tree, so no earlier invocation has changed interpreter-wide settings;
+    raises subprocess.TimeoutExpired after `timeout` seconds."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     return subprocess.run(
         [sys.executable, "-m", "metamatrix.cli", *args], input=stdin,
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -692,6 +693,43 @@ class TestInputErrors:
         [line] = [ln for ln in res.output.splitlines() if "cannot read matrix:" in ln]
         assert line.startswith("Error: cannot read matrix: ")
 
+    @pytest.mark.parametrize(
+        "text,place",
+        [("[[1e20000000]]", "row 1, column 1"), ('[["1E+2_0000000"]]', "row 1, column 1"),
+         ("1 1\n1 -.5e-20000000\n", "line 2, column 2")],
+        ids=["json-number", "json-string-signed-underscores", "grid-negative-exponent"],
+    )
+    def test_huge_exponent_refused_before_its_integer_is_built(self, text, place):
+        # each names a 20,000,001-digit integer, which took 25 s to build;
+        # run_cli raises TimeoutExpired after 10 s
+        proc = run_cli(["check-tp", "-"], stdin=text, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"Error: cannot read matrix: {place}: exponent beyond ±")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [('[["1", 2], [3, "x"]]', "row 2, column 2: cannot parse 'x'"),
+         ("1 1\n1/0 1\n", "line 2, column 1: zero denominator in '1/0'"),
+         ('[[1, 1], ["1/0", 1]]', "row 2, column 1: zero denominator in '1/0'"),
+         ("\n1 2 3\n4 5 6\n", "line 2: expected 2 entries (the matrix has 2 rows), got 3"),
+         ("[[1, 2], [3]]", "row 2: expected 2 entries (the matrix has 2 rows), got 1"),
+         ("1 1\n1 1e1001\n", "line 2, column 2: exponent beyond ±1000 in '1e1001'"),
+         ("  \n", "the matrix has no rows"), ("[]", "the matrix has no rows")],
+        ids=["json-token", "grid-zero-denominator", "json-zero-denominator",
+             "grid-not-square", "json-not-square", "beyond-the-bound", "blank", "empty-list"],
+    )
+    def test_diagnostic_names_the_place(self, runner, text, message):
+        res = runner.invoke(main, ["check-tp", "-"], input=text)
+        assert res.exit_code == 2
+        assert res.output == f"Error: cannot read matrix: {message}\n"
+
+    def test_exponent_at_the_bound_is_read(self):
+        from fractions import Fraction
+
+        rows = cli._parse_matrix_text('[[1e1000, " -.5E-1_000 "], ["1e+0_3", 1]]')
+        assert rows == [[10**1000, Fraction(-5, 10**1001)], [1000, 1]]
+
     def test_json_object_without_matrix_key(self, runner):
         res = runner.invoke(main, ["check-tp", "-"], input='{"m": 1}')
         assert res.exit_code == 2
@@ -735,16 +773,30 @@ class TestInputErrors:
         assert "--rank must be positive" in res.output
 
 
-# Matrix tokens: integers, fractions (zero denominators included), decimals
-# and junk; no exponent notation, so no token can ask for a huge integer.
+# Exponents as Fraction reads them: signed or not, with _ separators or not,
+# within the bound and far beyond it (a huge one must be refused, not built).
+EXPONENTS = st.builds(
+    lambda e, sign, digits: f"{e}{sign}{digits}",
+    st.sampled_from(["e", "E"]),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 40).map(str)
+    | st.sampled_from(["400", "0_7", "1_000", "1001", "2_0000000", "20000000", "9" * 30]),
+)
+# Matrix tokens: integers, fractions (zero denominators included), decimals,
+# numbers with small and huge exponents, and junk.
 TOKENS = st.one_of(
     st.integers(-40, 40).map(str),
     st.tuples(st.integers(-9, 9), st.integers(-3, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
     st.sampled_from(["1.5", "-0.25", ".", "/", "-", "1/", "x", "nan", "inf", "[", "{", '"']),
-    st.text(alphabet="0123456789-/.ab", max_size=4),
+    st.tuples(st.sampled_from(["1", "-2", ".5", "3.25", "1/2", ""]), EXPONENTS).map("".join),
+    st.text(alphabet="0123456789-/.abe", max_size=4),
 )
 GRIDS = st.lists(
     st.lists(TOKENS, min_size=0, max_size=4).map(" ".join), min_size=0, max_size=4
+).map("\n".join)
+SQUARE_GRIDS = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(TOKENS, min_size=n, max_size=n).map(" ".join),
+                       min_size=n, max_size=n)
 ).map("\n".join)
 JSON_ENTRIES = st.one_of(
     TOKENS, st.integers(-40, 40), st.floats(-1e3, 1e3), st.booleans(), st.none(),
@@ -759,7 +811,7 @@ JSON_TEXTS = st.one_of(
     JSON_GRIDS,
     st.dictionaries(st.sampled_from(["matrix", "m", "rows"]), JSON_GRIDS, max_size=2),
 ).map(json.dumps)
-MATRIX_TEXTS = st.one_of(GRIDS, JSON_TEXTS, st.text(max_size=30))
+MATRIX_TEXTS = st.one_of(GRIDS, SQUARE_GRIDS, JSON_TEXTS, st.text(max_size=30))
 
 
 class TestCheckTpFuzz:

@@ -269,68 +269,62 @@ def row_scaled_tables(draw):
     return rows
 
 
-class TestCondensationMatchesBareiss:
-    @settings(max_examples=300, deadline=None)
-    @given(small_ints)
-    def test_small_integer_matrices(self, grid):
-        assert_matches_reference(grid)
+def scan_matches_bareiss(certify, reference):
+    """The test class that checks `certify` against its Bareiss `reference`
+    on every strategy, each within the all-minors size cap.  Each call
+    builds fresh test functions, so hypothesis sees one executor per test."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(rational_matrices())
-    def test_rational_matrices(self, a):
-        assert_matches_reference(a)
+    class ScanMatchesBareiss:
+        def check(self, a):
+            assert_matches_reference(a, certify, reference)
 
-    @settings(max_examples=100, deadline=None)
-    @given(perturbed_tables())
-    def test_perturbed_tables(self, a):
-        assert_matches_reference(a)
+        @settings(max_examples=300, deadline=None)
+        @given(small_ints)
+        def test_small_integer_matrices(self, grid):
+            self.check(grid)
 
-    @settings(max_examples=100, deadline=None)
-    @given(zeroed_windows())
-    def test_zero_minor_deep_in_table(self, a):
-        assert_matches_reference(a)
+        @settings(max_examples=150, deadline=None)
+        @given(rational_matrices())
+        def test_rational_matrices(self, a):
+            self.check(a)
 
-    @settings(max_examples=60, deadline=None)
-    @given(row_scaled_tables())
-    def test_row_scaled_tables(self, a):
-        assert_matches_reference(a)
+        @settings(max_examples=100, deadline=None)
+        @given(perturbed_tables())
+        def test_perturbed_tables(self, a):
+            self.check(a)
 
-    @pytest.mark.parametrize("a", tp_tables())
-    def test_tp_tables(self, a):
-        assert_matches_reference(a)
+        @settings(max_examples=100, deadline=None)
+        @given(zeroed_windows())
+        def test_zero_minor_deep_in_table(self, a):
+            self.check(a)
 
-    def test_singular_integer_matrix(self):
-        assert_matches_reference([[1, 2, 3], [2, 5, 8], [3, 8, 13]])
+        @settings(max_examples=60, deadline=None)
+        @given(row_scaled_tables())
+        def test_row_scaled_tables(self, a):
+            self.check(a)
+
+        @pytest.mark.parametrize("a", tp_tables())
+        def test_tp_tables(self, a):
+            self.check(a)
+
+        def test_singular_integer_matrix(self):
+            self.check([[1, 2, 3], [2, 5, 8], [3, 8, 13]])
+
+        def test_witness_is_checked_by_bareiss(self, monkeypatch):
+            monkeypatch.setattr(tp, "_bareiss_int", lambda grid: -1)
+            with pytest.raises(AssertionError, match="by Bareiss"):
+                certify([[1, 2], [3, 4]])
+
+    return ScanMatchesBareiss
 
 
-class TestAllMinorsMatchesBareiss:
-    @staticmethod
-    def check(a):
-        assert_matches_reference(a, all_minors_positive, all_minors_by_bareiss)
+class TestCondensationMatchesBareiss(scan_matches_bareiss(fekete_check, fekete_by_bareiss)):
+    pass
 
-    @settings(max_examples=200, deadline=None)
-    @given(small_ints)
-    def test_small_integer_matrices(self, grid):
-        self.check(grid)
 
-    @settings(max_examples=150, deadline=None)
-    @given(rational_matrices())
-    def test_rational_matrices(self, a):
-        self.check(a)
-
-    @settings(max_examples=40, deadline=None)
-    @given(zeroed_windows())
-    def test_zero_minor_deep_in_table(self, a):
-        self.check(a)
-
-    @settings(max_examples=40, deadline=None)
-    @given(row_scaled_tables())
-    def test_row_scaled_tables(self, a):
-        self.check(a)
-
-    def test_singular_integer_matrix(self):
-        self.check([[1, 2, 3], [2, 5, 8], [3, 8, 13]])
-
+class TestAllMinorsMatchesBareiss(
+    scan_matches_bareiss(all_minors_positive, all_minors_by_bareiss)
+):
     def test_non_solid_first_witness(self):
         # every 1x1 minor and every 2x2 minor on rows (0, 1) is positive
         a = [[1, 1, 1], [1, 2, 4], [1, 1, 9]]
@@ -351,11 +345,6 @@ class TestAllMinorsMatchesBareiss:
         cert = all_minors_positive(metamatrix_typeb(9).entries)
         assert cert.is_totally_positive
         assert cert.minors_checked == math.comb(20, 10) - 1
-
-    def test_witness_is_checked_by_bareiss(self, monkeypatch):
-        monkeypatch.setattr(tp, "_bareiss_int", lambda grid: -1)
-        with pytest.raises(AssertionError, match="by Bareiss"):
-            all_minors_positive([[1, 2], [3, 4]])
 
 
 class TestIntegerConjugation:
