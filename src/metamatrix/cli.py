@@ -261,7 +261,8 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
     Raises ValueError, naming the line (grid) or row (JSON) and the column,
     both counted from 1, on input that is not such a matrix, and on an entry
     whose decimal exponent exceeds MAX_EXPONENT in magnitude, before its
-    value is built."""
+    value is built.  The message quotes the bad token, cut to its first
+    characters and its length when it is long."""
     import re
     from fractions import Fraction
 
@@ -301,7 +302,9 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
                     problem = "zero denominator in"
                 except ValueError:
                     problem = "cannot parse"
-            raise ValueError(f"{place}, column {col}: {problem} {token!r}")
+            shown = repr(token) if len(token) <= 40 else (
+                f"{token[:40]!r}... ({len(token)} characters)")
+            raise ValueError(f"{place}, column {col}: {problem} {shown}")
         rows.append(row)
     return rows
 

@@ -13,7 +13,6 @@ orbit of a weight.  Both work in python ints; nothing here imports numpy.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from . import _kernels
@@ -71,9 +70,10 @@ def accumulate_ntable(system: CoxeterSystem) -> NTable:
 ORACLE_LIMIT = 60_000
 
 
-def _chamber_histogram(system: CoxeterSystem, lam: tuple[int, ...]) -> list[int]:
+def _chamber_histogram(moves: list, lam: tuple[int, ...]) -> list[int]:
     """hist[mask]: the points mu of the orbit W lam, for dominant lam, with
-    {i : mu_i >= 0} = mask (bit i - 1 for node i).
+    {i : mu_i >= 0} = mask (bit i - 1 for node i).  `moves[mask]` lists the
+    steps from a point of that mask, as `_coset_counts` builds them.
 
     The walk goes down from lam one step s_i at a time, from mu_i > 0 to
     s_i mu, which is one reflection further from lam.  Each point other than
@@ -83,20 +83,7 @@ def _chamber_histogram(system: CoxeterSystem, lam: tuple[int, ...]) -> list[int]
     and leaves the other coordinates alone: a nonnegative coordinate stays
     nonnegative, and only the negative neighbours need a sign test.
     """
-    n = system.rank
-    steps = [
-        [(j, ca, cb) for j, (ca, cb) in enumerate(row) if j != i and (ca or cb)]
-        for i, row in enumerate(system.cartan)
-    ]
-    below = [(1 << i) - 1 for i in range(n)]
-    # s_i mu has first negative coordinate i only if mu is already
-    # nonnegative on the nodes below i that s_i does not touch
-    untouched = [below[i] & ~sum(1 << j for j, _, _ in steps[i]) for i in range(n)]
-    moves = [
-        [(i, below[i], steps[i]) for i in range(n)
-         if mask >> i & 1 and mask & untouched[i] == untouched[i]]
-        for mask in range(1 << n)
-    ]
+    n = len(lam) // 2
     hist = [0] * (1 << n)
     stack = [(lam, sum(1 << i for i in range(n) if is_nonneg(lam[i], lam[n + i])))]
     while stack:
@@ -122,12 +109,27 @@ def _chamber_histogram(system: CoxeterSystem, lam: tuple[int, ...]) -> list[int]
 def _coset_counts(system: CoxeterSystem) -> list[list[int]]:
     """counts[J][I] = |W_I \\ W / W_J| over bit masks of nodes: the points of
     W lambda_J in the closed W_I chamber, the sum of the orbit's histogram
-    over the masks that contain I (one superset-sum pass per node)."""
+    over the masks that contain I (one superset-sum pass per node).  The
+    tables of the walk are built once, for every orbit."""
     n = system.rank
+    # the steps s_i of the walk, with the neighbours j of i and c_ij
+    steps = [
+        [(j, ca, cb) for j, (ca, cb) in enumerate(row) if j != i and (ca or cb)]
+        for i, row in enumerate(system.cartan)
+    ]
+    below = [(1 << i) - 1 for i in range(n)]
+    # s_i mu has first negative coordinate i only if mu is already
+    # nonnegative on the nodes below i that s_i does not touch
+    untouched = [below[i] & ~sum(1 << j for j, _, _ in steps[i]) for i in range(n)]
+    moves = [
+        [(i, below[i], steps[i]) for i in range(n)
+         if mask >> i & 1 and mask & untouched[i] == untouched[i]]
+        for mask in range(1 << n)
+    ]
     counts = [[system.order]]
     for right in range(1, 1 << n):
         lam = tuple(0 if right >> j & 1 else 1 for j in range(n)) + (0,) * n
-        hist = _chamber_histogram(system, lam)
+        hist = _chamber_histogram(moves, lam)
         for bit in (1 << i for i in range(n)):
             for mask in range(1 << n):
                 if not mask & bit:
@@ -167,20 +169,15 @@ def _mask(gens: Iterable[int]) -> int:
 
 
 def metamatrix_bruteforce(system: CoxeterSystem) -> Metamatrix:
-    """Entrywise sums of double-coset counts over all subset pairs."""
+    """Entrywise sums of double-coset counts over all subset pairs: entry
+    (p, q) sums `group_table` over the left masks of p nodes and the right
+    masks of q nodes."""
     n = system.rank
-    gens = list(range(1, n + 1))
-    entries = []
-    for p in range(n + 1):
-        row = []
-        for q in range(n + 1):
-            total = 0
-            for left in combinations(gens, p):
-                for right in combinations(gens, q):
-                    total += double_coset_count(system, left, right)
-            row.append(total)
-        entries.append(tuple(row))
-    return Metamatrix(n=n, entries=tuple(entries))
+    entries = [[0] * (n + 1) for _ in range(n + 1)]
+    for right, row in enumerate(group_table(system)):
+        for left, count in enumerate(row):
+            entries[left.bit_count()][right.bit_count()] += count
+    return Metamatrix(n=n, entries=tuple(map(tuple, entries)))
 
 
 # `coxeter.is_nonneg` by the name the tests import and perfbench/tracing.py

@@ -1,14 +1,14 @@
-"""Exact determinants, on python ints and ``fractions.Fraction``.
-
-Matrices are lists of rows everywhere in the package.  `Matrix` remains
-only as the argument type of `bareiss_det`: it holds the rows it is built
-from with `Matrix.from_rows`.
+"""Exact determinants of matrices of ints and ``fractions.Fraction``, for
+the tests and the benchmark: `bareiss_det` of a `Matrix`, which holds the
+rows it is built from, on the integer Bareiss elimination of `tp`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .tp import _bareiss_int, _integer_rows
 
 
 class Matrix:
@@ -22,49 +22,6 @@ class Matrix:
     @classmethod
     def from_rows(cls, grid: list[list[int | Fraction]]) -> "Matrix":
         return cls(grid)
-
-
-def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
-    """The rows of the square matrix `a` (rows of ints or Fractions) scaled to
-    integers, each by the lcm of its denominators, with those scales.  A
-    k x k minor of the scaled matrix is the minor of `a` times the product of
-    its rows' scales, so it has the same sign."""
-    if any(len(row) != len(a) for row in a):
-        raise ValueError("square matrix required")
-    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
-    grid = [
-        [x.numerator * (scale // x.denominator) for x in row]
-        for row, scale in zip(a, scales)
-    ]
-    return grid, scales
-
-
-def _bareiss_int(grid: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destructive)."""
-    n = len(grid)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if grid[k][k] == 0:
-            for r in range(k + 1, n):
-                if grid[r][k] != 0:
-                    grid[k], grid[r] = grid[r], grid[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = grid[k][k]
-        for i in range(k + 1, n):
-            gik = grid[i][k]
-            gi = grid[i]
-            gk = grid[k]
-            for j in range(k + 1, n):
-                gi[j] = (gi[j] * pivot - gik * gk[j]) // prev
-            gi[k] = 0
-        prev = pivot
-    return sign * grid[-1][-1]
 
 
 def bareiss_det(a: Matrix) -> Fraction:

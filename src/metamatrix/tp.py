@@ -2,15 +2,13 @@
 
 A matrix is totally positive when every minor of every size is strictly
 positive.  Two certifiers are provided: the definitional all-minors scan,
-which gets the minors of each size from those one size down by Laplace
-expansion, and the Fekete criterion (positivity of all minors on consecutive
-row and column windows implies strict total positivity), which gets those
-minors level by level by integer condensation.  Both run one scan, `_scan`,
-over their stream of minors: in exact integers on the rows scaled by the
-lcm of their denominators, stopping at the first minor <= 0, which is
-evaluated again by Bareiss elimination and reported at its unscaled value.
-The structural reason the type-B tables are totally positive, their
-factorization, is in `typeb`.
+and the Fekete criterion (positivity of the minors on consecutive row and
+column windows implies strict total positivity).  Both run one scan,
+`_scan`, over minors that one generator, `_minors`, condenses on their own
+index sets.  The scan works in exact integers, on the rows scaled by the lcm
+of their denominators, and stops at the first minor <= 0, which it
+evaluates again by Bareiss elimination.  The structural reason the type-B
+tables are totally positive, their factorization, is in `typeb`.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
-
-from .exactlinear import _bareiss_int, _integer_rows
 
 ALL_MINORS_SIZE_CAP = 12
 
@@ -43,14 +39,56 @@ class TPCertificate(NamedTuple):
         return self.witness is None
 
 
-def _scan(a, minors) -> TPCertificate:
-    """Count the minors that `minors` yields, as ``(rows, cols, det)``, on
-    the integer-scaled rows of the square matrix `a`, up to the first one
-    <= 0.  That one is evaluated again by Bareiss elimination, and a
-    mismatch raises AssertionError; it is reported at its unscaled value."""
+def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
+    """The rows of the square matrix `a` (rows of ints or Fractions) scaled to
+    integers, each by the lcm of its denominators, with those scales.  A
+    k x k minor of the scaled matrix is the minor of `a` times the product of
+    its rows' scales, so it has the same sign."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("square matrix required")
+    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+    grid = [
+        [x.numerator * (scale // x.denominator) for x in row]
+        for row, scale in zip(a, scales)
+    ]
+    return grid, scales
+
+
+def _bareiss_int(grid: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (destructive)."""
+    n = len(grid)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if grid[k][k] == 0:
+            for r in range(k + 1, n):
+                if grid[r][k] != 0:
+                    grid[k], grid[r] = grid[r], grid[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        gk = grid[k]
+        pivot = gk[k]
+        for i in range(k + 1, n):  # column k below the pivot is never read again
+            gi = grid[i]
+            gik = gi[k]
+            for j in range(k + 1, n):
+                gi[j] = (gi[j] * pivot - gik * gk[j]) // prev
+        prev = pivot
+    return sign * grid[-1][-1]
+
+
+def _scan(a, index_sets) -> TPCertificate:
+    """Count the minors of the square matrix `a` that `_minors` yields over
+    `index_sets`, on its integer-scaled rows, up to the first one <= 0.
+    That one is evaluated again by Bareiss elimination, and a mismatch
+    raises AssertionError; it is reported at its unscaled value."""
     grid, scales = _integer_rows(a)
     checked = 0
-    for rows, cols, value in minors(grid):
+    for rows, cols, value in _minors(grid, index_sets):
         checked += 1
         if value <= 0:
             again = _bareiss_int([[grid[i][j] for j in cols] for i in rows])
@@ -63,47 +101,50 @@ def _scan(a, minors) -> TPCertificate:
     return TPCertificate(checked, None)
 
 
-def _all_minors(grid: list[list[int]]):
-    """Yield ``(rows, cols, det)`` for every minor of a square integer
-    matrix, in the order size, then rows, then cols, each lexicographic.
+def _minors(grid: list[list[int]], index_sets):
+    """Yield ``(rows, cols, det)`` for the minors of a square integer matrix
+    of size n on the index sets ``index_sets(range(n), k)``, for k = 1..n,
+    over the row sets and then the column sets.  The sets of each size come
+    in lexicographic order, those of size 1 are (0,), ..., (n-1,), and each
+    set one size up without its first or its last index is among them.
 
-    The minors of size k come from those of size k - 1 by Laplace expansion
-    along the first chosen row:
-    det(rows, cols) = sum_t (-1)^t grid[rows[0]][cols[t]]
-                      * det(rows[1:], cols without cols[t]).
-    Only two sizes are kept, each as a list of rows indexed by the rank of
-    the row combination, holding the minors indexed by the rank of the
-    column combination.
+    Minors come from Desnanot-Jacobi condensation: with det(empty) = 1,
+    det(R, C) = (det(R - r_1, C - c_1) det(R - r_k, C - c_k)
+                 - det(R - r_1, C - c_k) det(R - r_k, C - c_1))
+                / det(R - {r_1, r_k}, C - {c_1, c_k}).
+    The divisor is a minor two sizes down, so the consumer must stop at the
+    first value <= 0; every divisor is then positive, and a remainder raises
+    AssertionError.  Each size is a list of rows, by the rank of the row
+    set, of minors, by the rank of the column set.  Two sizes down, only the
+    rows some row set divides by are kept, those without 0 or n - 1, each up
+    to its last such set, which is (m_1 - 1, *m, n - 1) for middle m.
     """
     n = len(grid)
-    for i in range(n):
-        for j in range(n):
-            yield (i,), (j,), grid[i][j]
-    prev = grid
-    prev_rank = {(i,): i for i in range(n)}
+    older, older_rank = [[1]], {(): 0}
+    prev, prev_rank = grid, {(i,): i for i in range(n)}
+    for i, row in enumerate(grid):
+        for j, value in enumerate(row):
+            yield (i,), (j,), value
     for k in range(2, n + 1):
-        combos = list(combinations(range(n), k))
-        # per column combination, the terms (t, rank of cols without cols[t]);
-        # an odd t reads the negated half of the signed row below
-        terms = [
-            [(cols[t] + n * (t % 2), prev_rank[cols[:t] + cols[t + 1 :]]) for t in range(k)]
-            for cols in combos
-        ]
+        sets = list(index_sets(range(n), k))
+        # per set: the ranks of it without its first index, its last, and both
+        drops = [(prev_rank[s[1:]], prev_rank[s[:-1]], older_rank[s[1:-1]]) for s in sets]
         level = []
-        for rows in combos:
-            first = grid[rows[0]]
-            signed = first + [-x for x in first]
-            below = prev[prev_rank[rows[1:]]]
-            minors = []
-            for cols, expansion in zip(combos, terms):
-                value = 0
-                for j, s in expansion:
-                    value += signed[j] * below[s]
+        for rows, (tail, head, inner) in zip(sets, drops):
+            tail_row, head_row, inner_row = prev[tail], prev[head], older[inner]
+            row = []
+            for cols, (t, h, i) in zip(sets, drops):
+                value, rem = divmod(tail_row[t] * head_row[h] - tail_row[h] * head_row[t],
+                                    inner_row[i])
+                if rem:
+                    raise AssertionError(f"inexact condensation at minor {rows}x{cols}")
                 yield rows, cols, value
-                minors.append(value)
-            level.append(minors)
-        prev = level
-        prev_rank = {combo: r for r, combo in enumerate(combos)}
+                row.append(value)
+            level.append(row)
+            if rows[-1] == n - 1 and rows[1] == rows[0] + 1:
+                older[inner] = None
+        older = [row if 0 < s[0] and s[-1] < n - 1 else None for s, row in zip(prev_rank, prev)]
+        older_rank, prev, prev_rank = prev_rank, level, {s: r for r, s in enumerate(sets)}
 
 
 def all_minors_positive(a) -> TPCertificate:
@@ -113,48 +154,16 @@ def all_minors_positive(a) -> TPCertificate:
         raise ValueError(
             f"all-minors check capped at size {ALL_MINORS_SIZE_CAP}; use fekete_check"
         )
-    return _scan(a, _all_minors)
+    return _scan(a, combinations)
 
 
-def _solid_minors(grid: list[list[int]]):
-    """Yield ``(rows, cols, det)`` for every k x k window of consecutive rows
-    and columns of a square integer matrix, in the order k, then first row,
-    then first column.
-
-    Minors come from Desnanot-Jacobi condensation: with M_0 = 1 and M_1 the
-    matrix itself,
-    M_k(i,j) = (M_{k-1}(i,j) M_{k-1}(i+1,j+1) - M_{k-1}(i,j+1) M_{k-1}(i+1,j))
-               / M_{k-2}(i+1,j+1).
-    The divisor is a window two sizes down, so the consumer must stop at the
-    first value <= 0; every divisor is then positive and the division exact.
-    """
-    n = len(grid)
-    for i in range(n):
-        for j in range(n):
-            yield (i,), (j,), grid[i][j]
-    older, prev = [[1] * n] * n, grid
-    for k in range(2, n + 1):
-        windows = [tuple(range(i, i + k)) for i in range(n - k + 1)]
-        level = []
-        for i, rows in enumerate(windows):
-            top, bottom, below = prev[i], prev[i + 1], older[i + 1]
-            row = []
-            for j, cols in enumerate(windows):
-                value, rem = divmod(
-                    top[j] * bottom[j + 1] - top[j + 1] * bottom[j], below[j + 1]
-                )
-                if rem:
-                    raise AssertionError(
-                        f"inexact condensation at size {k}, window ({i}, {j})"
-                    )
-                yield rows, cols, value
-                row.append(value)
-            level.append(row)
-        older, prev = prev, level
+def _windows(indices: range, k: int) -> list[tuple[int, ...]]:
+    """The runs of k consecutive indices, by first index."""
+    return [tuple(indices[i : i + k]) for i in range(len(indices) - k + 1)]
 
 
 def fekete_check(a) -> TPCertificate:
     """Fekete criterion: the minors on consecutive rows and consecutive
     columns of the square matrix `a`.  A totally-positive verdict here
     implies the all-minors verdict."""
-    return _scan(a, _solid_minors)
+    return _scan(a, _windows)

@@ -12,6 +12,7 @@ tests' reference enumerates the matrices (`tests/references.py`).
 from __future__ import annotations
 
 import math
+import operator
 
 from .tables import Metamatrix
 
@@ -30,22 +31,23 @@ def L_matrix(n: int) -> list[list[int]]:
     return [[gscm_count(n, p, q) for q in range(n + 1)] for p in range(n + 1)]
 
 
-def _forward_differences(x) -> list:
-    """P^{-1} x = ((Delta^i x)_0 for i < len(x)), as (P^{-1})_ij = (-1)^(i-j) C(i, j)."""
+def _row_differences(rows) -> list[list]:
+    """P^{-1} X for X given as rows: row i is the i-th forward difference of
+    the rows at 0, as (P^{-1})_ij = (-1)^(i-j) C(i, j)."""
     out = []
-    while x:
-        out.append(x[0])
-        x = [b - a for a, b in zip(x, x[1:])]
+    while rows:
+        out.append(list(rows[0]))
+        rows = [list(map(operator.sub, b, a)) for a, b in zip(rows, rows[1:])]
     return out
 
 
 def conjugate_by_inverse_pascal(grid: list[list]) -> list[list]:
-    """T = P^{-1} * L * (P^{-1})^t for a square L given as rows: forward
-    differences down each column of L, then along each row."""
+    """T = P^{-1} * L * (P^{-1})^t for a square L given as rows: differences
+    of whole rows of L^t give P^{-1} L^t, the transpose of L (P^{-1})^t, and
+    differences of whole rows of that transpose give T."""
     if any(len(row) != len(grid) for row in grid):
         raise ValueError("square matrix required")
-    columns = [_forward_differences(col) for col in zip(*grid)]
-    return [_forward_differences(row) for row in zip(*columns)]
+    return _row_differences(list(zip(*_row_differences(list(zip(*grid))))))
 
 
 def scm_table(n: int) -> list[list[int]]:

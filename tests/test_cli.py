@@ -724,6 +724,21 @@ class TestInputErrors:
         assert res.exit_code == 2
         assert res.output == f"Error: cannot read matrix: {message}\n"
 
+    @pytest.mark.parametrize(
+        "token,text,message",
+        [("1e" + "1" * 100_000, "1e" + "1" * 100_000 + "\n",
+          "line 1, column 1: exponent beyond ±1000 in '1e1111"),
+         ("x" * 5001, '[["' + "x" * 5001 + '"]]', "row 1, column 1: cannot parse 'xxxx")],
+        ids=["grid-100000-digit-exponent", "json-5001-character-string"],
+    )
+    def test_long_token_is_cut_in_the_diagnostic(self, token, text, message):
+        proc = run_cli(["check-tp", "-"], stdin=text, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"Error: cannot read matrix: {message}")
+        assert line.endswith(f"... ({len(token)} characters)")
+        assert len(line.encode()) < 200
+
     def test_exponent_at_the_bound_is_read(self):
         from fractions import Fraction
 

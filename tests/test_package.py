@@ -78,13 +78,13 @@ def numpy_after(statements: str, stdin: str = "") -> dict:
     return run_python(code, stdin)
 
 
-def loaded_after(statements: str, modules: list[str]) -> dict:
+def loaded_after(statements: str, modules: list[str], stdin: str = "") -> dict:
     code = (
         "import json, sys\n"
         f"{statements}\n"
         f"print(json.dumps({{m: m in sys.modules for m in {modules!r}}}), file=sys.stderr)\n"
     )
-    return run_python(code)
+    return run_python(code, stdin)
 
 
 def cli_run(args: list[str]) -> str:
@@ -114,6 +114,13 @@ class TestLazyCommands:
                    "metamatrix.exactlinear", "metamatrix.tp"]
         got = loaded_after(cli_run(["compute", "--family", "B", "--rank", "8"]), modules)
         assert got == dict.fromkeys(modules, False)
+
+    def test_check_tp_loads_tp_alone(self):
+        # the Bareiss re-check of a witness lives in tp, not in exactlinear
+        modules = ["metamatrix.tp", "metamatrix.exactlinear", "metamatrix.typeb",
+                   "metamatrix.coxeter", "metamatrix.engine"]
+        got = loaded_after(cli_run(["check-tp", "-"]), modules, stdin="[[1, 2], [3, 4]]")
+        assert got == {**dict.fromkeys(modules, False), "metamatrix.tp": True}
 
 
 class TestStartWithoutNumpy:

@@ -303,9 +303,23 @@ def scan_matches_bareiss(certify, reference):
         def test_row_scaled_tables(self, a):
             self.check(a)
 
-        @pytest.mark.parametrize("a", tp_tables())
+        # the rest of the golden tables, and the type-B tables up to rank 8
+        @pytest.mark.parametrize("a", tp_tables() + [
+            golden.H4, golden.E6, golden.E7, golden.E8,
+            *(golden.dihedral_metamatrix(m) for m in range(2, 9)),
+            *(scm_table(n) for n in (1, 7, 8)),
+        ])
         def test_tp_tables(self, a):
             self.check(a)
+
+        def test_stops_before_dividing_by_a_zero_minor(self):
+            # the 2x2 minor on rows and columns (0, 1) is 0, and the size-3
+            # condensation step would divide by it
+            a = [[1, 1, 1], [1, 1, 2], [1, 2, 5]]
+            self.check(a)
+            cert = certify(a)
+            assert cert.minors_checked == 10
+            assert (cert.witness.rows, cert.witness.cols, cert.witness.minor) == ((0, 1), (0, 1), 0)
 
         def test_singular_integer_matrix(self):
             self.check([[1, 2, 3], [2, 5, 8], [3, 8, 13]])
