@@ -14,24 +14,26 @@ its own root system (Bjorner-Brenti, GTM 231, section 2.4).  Hence:
 
 So w's ascents depend on t only through its state: its left-ascent set, its
 number of right ascents, and t(alpha_j) for each node j watched at level
-k - 1 (`coxeter.TowerPlan.watched`).  A histogram maps states
-(left-ascent bitmask, #right ascents, images) to element counts; bit j - 1
-of the mask stands for node j.
+k - 1 (`coxeter.TowerPlan.watched`).  A histogram maps the images (the
+tuple of those t(alpha_j)) to {code: element count}, where a code packs the
+left-ascent bitmask and the number of right ascents as mask << SHIFT | count;
+bit j - 1 of the mask stands for node j.  Each level reads and returns this
+one shape, from the identity's {(): {0: 1}} to the whole group's.
 """
 
 from __future__ import annotations
 
-SHIFT = 4  # a state's (mask, #right ascents) packs into mask << SHIFT | count
+SHIFT = 4  # a code packs (mask, #right ascents) into mask << SHIFT | count
 COUNT = (1 << SHIFT) - 1  # any rank up to 15 packs: #right ascents <= rank <= COUNT
 
 
 def count_profiles_batch(plan, k: int, histogram: dict) -> dict:
-    """The state histogram of W_k from `histogram`, that of W_{k-1}."""
+    """The histogram of W_k from `histogram`, that of W_{k-1}."""
     positive = plan.roots.positive
     reps, invs = plan.transversals[k - 1]
     below = {j - 1 for j in plan.order[: k - 1]}
     watched = plan.watched[k - 1]
-    # t(alpha_j) is a watched slot of the state, or alpha_j (root j - 1) itself
+    # t(alpha_j) is a slot of the images, or alpha_j (root j - 1) itself
     slot = {j: s for s, j in enumerate(watched)}
     simple = tuple(range(plan.system.rank))
 
@@ -41,11 +43,7 @@ def count_profiles_batch(plan, k: int, histogram: dict) -> dict:
     new = source(plan.order[k - 1])
     carried = [source(j) for j in plan.watched[k]]
 
-    # the states grouped by their images, (mask, count) packed into one code
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for (mask, right, images), count in histogram.items():
-        groups.setdefault(images, {})[mask << SHIFT | right] = count
-    codes = {code for group in groups.values() for code in group}
+    codes = {code for group in histogram.values() for code in group}
     masks = {code >> SHIFT for code in codes}
 
     # per representative u: the code each incoming (mask, count) turns into,
@@ -70,7 +68,7 @@ def count_profiles_batch(plan, k: int, histogram: dict) -> dict:
         moves.append((u, {code: left[code >> SHIFT] | code & COUNT for code in codes}))
 
     out: dict[tuple[int, ...], dict[int, int]] = {}
-    for images, group in groups.items():
+    for images, group in histogram.items():
         roots = images + simple
         new_root = roots[new]
         sources = [roots[s] for s in carried]
@@ -85,8 +83,4 @@ def count_profiles_batch(plan, k: int, histogram: dict) -> dict:
             for code, count in items:
                 to = move[code] + step
                 target[to] = get(to, 0) + count
-    return {
-        (code >> SHIFT, code & COUNT, images): count
-        for images, group in out.items()
-        for code, count in group.items()
-    }
+    return out

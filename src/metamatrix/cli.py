@@ -1,17 +1,20 @@
 """Command-line frontend: compute, check-tp, verify, ntable, scm-count.
 
 Exit codes: 0 success / totally positive, 1 verified negative result,
-2 usage or parse error, 3 resource limit (`engine.ORACLE_LIMIT`), 4 internal
-error (an unexpected exception, reported in one line).  A parse error (an
-unknown command or option, a missing or malformed value) is argparse's: a
-`usage:` line and the message on stderr.  Every other error prints one
-`Error: <msg>` line.  All big integers are read and emitted as decimal
-strings so output is lossless at any magnitude: the CLI lifts Python's
-int/str digit limit when it runs; a JSON number is read from its literal,
-never through a float.  Matrices are lists of rows; `check-tp` reads its
-grid or JSON matrix through `_parse_matrix_text` alone, which refuses a
-decimal exponent beyond `MAX_EXPONENT`.  `scm-count` answers any n from the
-closed form.
+2 usage or parse error, 3 resource limit (`engine.ORACLE_LIMIT`, and the
+`check-tp` digit bound), 4 internal error (an unexpected exception, reported
+in one line).  A parse error (an unknown command or option, a missing or
+malformed value) is argparse's: a `usage:` line and the message on stderr.
+Every other error prints one `Error: <msg>` line.  All big integers are read
+and emitted as decimal strings so output is lossless at any magnitude: the
+CLI lifts Python's int/str digit limit when it runs; a JSON number is read
+from its literal, never through a float.  Matrices are lists of rows;
+`check-tp` reads its grid or JSON matrix through `_parse_matrix_text` alone,
+which refuses a decimal exponent beyond `MAX_EXPONENT`, and before its scan
+it refuses (exit 3) rows scaled to integers that hold more digits than
+`MAX_DIGITS_BASE` plus `MAX_DIGITS_PER_CHAR` per input character.  `verify`
+prints one JSON document on stdout and its one-line summary on stderr.
+`scm-count` answers any n from the closed form.
 
 `_legs` alone chooses a system's pipelines: `formula` for B at any rank and
 I2 at any m, `enumeration` and `oracle` where the catalog has the system.
@@ -254,6 +257,10 @@ def compute(args) -> int:
 
 # the largest decimal exponent, in magnitude, that a check-tp matrix entry may carry
 MAX_EXPONENT = 1000
+# the scan's exact arithmetic grows with the digits of the integer-scaled rows, so
+# check-tp refuses (exit 3) more than MAX_DIGITS_BASE + MAX_DIGITS_PER_CHAR per input character
+MAX_DIGITS_BASE = 50_000
+MAX_DIGITS_PER_CHAR = 10
 
 
 def _parse_matrix_text(text: str) -> list[list[Fraction]]:
@@ -325,6 +332,13 @@ def check_tp(args) -> int:
             f"--method all-minors is capped at size {tp.ALL_MINORS_SIZE_CAP} "
             f"(matrix is {size}x{size}); use --method fekete"
         )
+    grid, _ = tp._integer_rows(matrix)
+    # decimal digits from bit lengths, at most one too many per entry
+    digits = sum(x.bit_length() * 30103 // 100_000 + 1 for row in grid for x in row)
+    limit = MAX_DIGITS_BASE + MAX_DIGITS_PER_CHAR * len(text)
+    if digits > limit:
+        raise EnumerationLimit(f"the matrix scaled to integers holds {digits} digits, over the "
+                               f"limit of {limit} for an input of {len(text)} characters")
     cert = tp.all_minors_positive(matrix) if method == "all-minors" else tp.fekete_check(matrix)
     witness = cert.witness
     if witness is not None:
@@ -342,7 +356,9 @@ def check_tp(args) -> int:
 
 def verify(args) -> int:
     """Cross-check every applicable pipeline and report agreement; a system
-    with one pipeline is reported as such, with nothing compared."""
+    with one pipeline is reported as such, with nothing compared.
+
+    The JSON report is all of stdout; a one-line summary goes to stderr."""
     fam, rank, m = _resolve_spec(args.family, args.rank, args.m)
     legs = _legs(fam, rank, m, args.cache_dir)
     if "oracle" in legs:
@@ -377,14 +393,15 @@ def verify(args) -> int:
         "first_difference": first_diff,
     }
     print(json.dumps(report, indent=2))
+    label = system_label(fam, rank, m)
     if len(names) == 1:
-        print(f"{system_label(fam, rank, m)}: {reference_name} (one leg, nothing compared)")
+        summary = f"{label}: {reference_name} (one leg, nothing compared)"
     elif first_diff is None:
-        print(f"{system_label(fam, rank, m)}: {' = '.join(names)} (all legs agree)")
+        summary = f"{label}: {' = '.join(names)} (all legs agree)"
     else:
-        print(f"{system_label(fam, rank, m)}: pipelines disagree at {first_diff['entry']}")
-        return 1
-    return 0
+        summary = f"{label}: pipelines disagree at {first_diff['entry']}"
+    print(summary, file=sys.stderr)
+    return 0 if first_diff is None else 1
 
 
 def ntable(args) -> int:

@@ -195,10 +195,11 @@ class TowerPlan(NamedTuple):
     W_k, generated by the first k nodes of `order`, is T_k * W_{k-1}, where
     T_k holds the minimal left-coset representatives of W_{k-1} in W_k;
     `transversals[k - 1]` is T_k as (representatives, inverses), level 1
-    first.  `tail_mats` is W_0 = {e}: the identity the N-table walk starts
-    from.  `watched[k]` lists the nodes outside the first k that are adjacent
-    to one of them, in increasing order: the nodes j whose images t(alpha_j),
-    t in W_k, the walk carries (every other node outside is fixed by W_k).
+    first.  `tail_mats` is W_0 = {e}, which the N-table walk starts from
+    without reading it.  `watched[k]` lists the nodes outside the first k
+    that are adjacent to one of them, in increasing order: the nodes j whose
+    images t(alpha_j), t in W_k, the walk carries (every other node outside
+    is fixed by W_k).
     """
 
     system: CoxeterSystem

@@ -33,15 +33,17 @@ ENGINE_VERSION = 2
 
 def accumulate_ntable(system: CoxeterSystem) -> NTable:
     """Exact N-table by the state-histogram walk up the coset tower, one
-    level at a time."""
+    level at a time: {images: {code: count}} from the identity's, and then
+    (#left, #right ascents) read off the codes of the last level."""
     plan = tower_plan(system)
     n = system.rank
-    histogram = {(0, 0, ()): len(plan.tail_mats)}  # W_0 = {e}: no ascents, nothing watched
+    histogram = {(): {0: 1}}  # W_0 = {e}: nothing watched, no ascents
     for k in range(1, n + 1):
         histogram = _kernels.count_profiles_batch(plan, k, histogram)
     counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for (left, right, _), count in histogram.items():
-        counts[left.bit_count()][right] += count
+    for group in histogram.values():
+        for code, count in group.items():
+            counts[(code >> _kernels.SHIFT).bit_count()][code & _kernels.COUNT] += count
     table = NTable(n=n, counts=tuple(map(tuple, counts)))
     failure = ntable_invariant_failure(table, system.order)
     if failure is not None:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import golden
-from metamatrix import cli, engine, typeb
+from metamatrix import cli, engine, tp, typeb
 from metamatrix.cli import main
 from metamatrix.engine import Metamatrix, NTable
 from metamatrix.typeb import metamatrix_typeb
@@ -246,7 +246,8 @@ class TestCache:
         monkeypatch.chdir(cwd)
         res = runner.invoke(main, args + ["--family", "B", "--rank", "3"])
         assert res.exit_code == 0
-        assert res.stderr == ""
+        summary = "B3: enumeration = formula = oracle (all legs agree)\n"
+        assert res.stderr == (summary if args == ["verify"] else "")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cwd", "home"]
 
 
@@ -441,14 +442,15 @@ class TestVerify:
             main, ["verify", "--family", "B", "--rank", "3", "--cache-dir", str(tmp_path)]
         )
         assert res.exit_code == 0
-        assert "B3: enumeration = formula = oracle (all legs agree)" in res.output
+        assert res.stderr == "B3: enumeration = formula = oracle (all legs agree)\n"
+        assert json.loads(res.stdout)["agree"] is True
 
     def test_i2_6(self, runner, tmp_path):
         res = runner.invoke(
             main, ["verify", "--family", "I2", "--m", "6", "--cache-dir", str(tmp_path)]
         )
         assert res.exit_code == 0
-        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        report = json.loads(res.stdout)
         assert report["agree"] is True
         assert set(report["legs"]) == {"formula", "enumeration", "oracle"}
 
@@ -457,7 +459,7 @@ class TestVerify:
             main, ["verify", "--family", "H", "--rank", "4", "--cache-dir", str(tmp_path)]
         )
         assert res.exit_code == 0
-        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        report = json.loads(res.stdout)
         assert report["legs"] == ["enumeration", "oracle"]
         assert report["agree"] is True
 
@@ -467,21 +469,21 @@ class TestVerify:
             main, ["verify", "--family", "I2", "--m", "7", "--cache-dir", str(tmp_path)]
         )
         assert res.exit_code == 0
-        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        report = json.loads(res.stdout)
         assert report["legs"] == ["formula"]
         assert report["agree"] is None
         assert report["first_difference"] is None
-        assert "I2m7: formula (one leg, nothing compared)" in res.output
+        assert res.stderr == "I2m7: formula (one leg, nothing compared)\n"
 
     def test_b9_formula_beyond_catalog(self, runner, tmp_path):
         res = runner.invoke(
             main, ["verify", "--family", "B", "--rank", "9", "--cache-dir", str(tmp_path)]
         )
         assert res.exit_code == 0
-        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        report = json.loads(res.stdout)
         assert report["legs"] == ["formula"]
         assert report["agree"] is None
-        assert "B9: formula (one leg, nothing compared)" in res.output
+        assert res.stderr == "B9: formula (one leg, nothing compared)\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["verify", "ntable"])
@@ -543,7 +545,8 @@ class TestE8Rule:
             args += ["--format", "json"]
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
-        assert res.stderr == ""
+        summary = "E8: enumeration (one leg, nothing compared)\n"
+        assert res.stderr == (summary if command == "verify" else "")
         assert [p.name for p in tmp_path.iterdir()] == ["E8.ntable.json"]
         if command == "compute":
             assert matrix_of(res.stdout) == golden.E8
@@ -552,10 +555,9 @@ class TestE8Rule:
             assert payload["order"] == str(E8_ORDER)
             assert json.loads((tmp_path / "E8.ntable.json").read_text()) == payload
         else:
-            report = json.loads(res.output[: res.output.rindex("}") + 1])
+            report = json.loads(res.stdout)
             assert report["legs"] == ["enumeration"]
             assert report["agree"] is None
-            assert "E8: enumeration (one leg, nothing compared)" in res.stdout
 
     @pytest.mark.usefixtures("no_enumeration")
     def test_cached_table_served_without_flag(self, runner, tmp_path):
@@ -577,7 +579,7 @@ class TestE8Rule:
             main, ["verify", "--family", "E", "--rank", "8", "--cache-dir", str(tmp_path)]
         )
         assert res.exit_code == 0
-        report = json.loads(res.output[: res.output.rindex("}") + 1])
+        report = json.loads(res.stdout)
         assert report["legs"] == ["enumeration"]
         assert report["agree"] is None
 
@@ -786,6 +788,47 @@ class TestInputErrors:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "--rank must be positive" in res.output
+
+
+# The B24 table with e1000 on every entry, and 25 x 25 entries with distinct
+# 50-digit denominators, whose rows each scale by an lcm of about 1,200 digits
+E1000_B24 = [[f"{x}e1000" for x in row] for row in metamatrix_typeb(24).entries]
+LCM_25 = [[f"1/{10**49 + 25 * i + j}" for j in range(25)] for i in range(25)]
+
+
+class TestDigitBound:
+    """check-tp refuses, with exit 3 and before its scan, rows scaled to
+    integers that hold more digits than cli.MAX_DIGITS_BASE plus
+    cli.MAX_DIGITS_PER_CHAR per input character."""
+
+    @pytest.mark.parametrize("layout", ["json", "grid"])
+    @pytest.mark.parametrize("rows", [E1000_B24, LCM_25], ids=["e1000-b24", "lcm-25x25"])
+    def test_refused_within_10_s(self, rows, layout):
+        if layout == "json":
+            text = json.dumps({"matrix": rows})
+        else:
+            text = "\n".join(" ".join(row) for row in rows) + "\n"
+        # the e1000 table took 8.2 s to scan; run_cli raises TimeoutExpired after 10 s
+        proc = run_cli(["check-tp", "-"], stdin=text, timeout=10)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("Error: the matrix scaled to integers holds ")
+        assert line.endswith(f" for an input of {len(text)} characters")
+
+    def test_b64_table_passes_without_its_scan(self, runner, monkeypatch):
+        scanned = []
+
+        def no_scan(a):
+            scanned.append(len(a))
+            return tp.TPCertificate(0, None)
+
+        monkeypatch.setattr(tp, "fekete_check", no_scan)
+        # its grid is the shortest text of the table, so the one with the lowest limit
+        text = "\n".join(" ".join(map(str, row)) for row in metamatrix_typeb(64).entries)
+        res = runner.invoke(main, ["check-tp", "-"], input=text)
+        assert res.exit_code == 0, res.output
+        assert scanned == [65]
 
 
 # Exponents as Fraction reads them: signed or not, with _ separators or not,

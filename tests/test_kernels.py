@@ -4,22 +4,31 @@ tower level) against the definitional reference (`definitional.py`)."""
 import pytest
 
 from definitional import definitional_counts
-from metamatrix._kernels import count_profiles_batch
+from metamatrix._kernels import COUNT, SHIFT, count_profiles_batch
 from metamatrix.coxeter import build_system, inverse, tower_plan
 from metamatrix.tables import NTable, ntable_invariant_failure
+
+
+def states(histogram):
+    """The histogram as {(left-ascent mask, #right ascents, images): count}."""
+    return {
+        (code >> SHIFT, code & COUNT, images): count
+        for images, group in histogram.items()
+        for code, count in group.items()
+    }
 
 
 def collapse(histogram, n):
     """The (n+1)x(n+1) counts by (#left ascents, #right ascents)."""
     counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for (left, right, _), count in histogram.items():
+    for (left, right, _), count in states(histogram).items():
         counts[left.bit_count()][right] += count
     return counts
 
 
 def walk(plan, start=None):
     """The histogram after each level, from the identity (or `start`)."""
-    histogram = start or {(0, 0, ()): 1}
+    histogram = start or {(): {0: 1}}
     out = []
     for k in range(1, plan.system.rank + 1):
         histogram = count_profiles_batch(plan, k, histogram)
@@ -74,10 +83,11 @@ def test_step_is_linear():
     doubles every outgoing count."""
     plan = tower_plan(build_system("B", 3))
     once = walk(plan)
-    twice = walk(plan, {(0, 0, ()): 2})
+    twice = walk(plan, {(): {0: 2}})
     for a, b in zip(once, twice):
-        assert b == {state: 2 * count for state, count in a.items()}
-    assert sum(once[-1].values()) == 48
+        assert b == {images: {code: 2 * count for code, count in group.items()}
+                     for images, group in a.items()}
+    assert sum(states(once[-1]).values()) == 48
 
 
 def test_identity_prefix_counts_tail_profiles():
@@ -86,9 +96,25 @@ def test_identity_prefix_counts_tail_profiles():
     histograms = walk(plan)
     # level 1 is W_1 = {e, s_1}: e has one ascent on each side, s_1 none, and
     # both carry the image of alpha_2 (s_1(alpha_2) = alpha_1 + alpha_2)
-    assert sorted(histograms[0].values()) == [1, 1]
-    assert {(left, right) for left, right, _ in histograms[0]} == {(1, 1), (0, 0)}
+    level_1 = states(histograms[0])
+    assert sorted(level_1.values()) == [1, 1]
+    assert {(left, right) for left, right, _ in level_1} == {(1, 1), (0, 0)}
     out = collapse(histograms[-1], n)
     assert out[n][n] == 1  # identity element
     assert out[0][0] == 1  # longest element
     assert sum(map(sum, out)) == 24
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 4), ("B", 4), ("D", 5), ("E", 6), ("F", 4), ("H", 3)]
+)
+def test_level_keeps_the_histogram_shape(family, rank):
+    """After level k every key holds the images of the nodes watched at k,
+    and every code unpacks to a mask of nodes and at most k right ascents."""
+    plan = tower_plan(build_system(family, rank))
+    for k, histogram in enumerate(walk(plan), start=1):
+        for images, group in histogram.items():
+            assert len(images) == len(plan.watched[k])
+            for code in group:
+                assert code >> SHIFT < 1 << rank
+                assert code & COUNT <= k
