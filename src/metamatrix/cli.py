@@ -3,17 +3,19 @@
 Exit codes: 0 success / totally positive, 1 verified negative result,
 2 usage or parse error, 3 resource limit (`engine.ORACLE_LIMIT`, and the
 `check-tp` digit bound), 4 internal error (an unexpected exception, reported
-in one line).  A parse error (an unknown command or option, a missing or
-malformed value) is argparse's: a `usage:` line and the message on stderr.
-Every other error prints one `Error: <msg>` line.  All big integers are read
-and emitted as decimal strings so output is lossless at any magnitude: the
-CLI lifts Python's int/str digit limit when it runs; a JSON number is read
-from its literal, never through a float.  Matrices are lists of rows;
-`check-tp` reads its grid or JSON matrix through `_parse_matrix_text` alone,
-which refuses a decimal exponent beyond `MAX_EXPONENT`, and before its scan
-it refuses (exit 3) rows scaled to integers that hold more digits than
-`MAX_DIGITS_BASE` plus `MAX_DIGITS_PER_CHAR` per input character.  `verify`
-prints one JSON document on stdout and its one-line summary on stderr.
+in one line), 141 stdout closed by its reader (silent, as SIGPIPE).  A parse
+error (an unknown command or option, a missing or malformed value) is
+argparse's: a `usage:` line and the message on stderr.  Every other error
+prints one `Error: <msg>` line.  All big integers are read and emitted as
+decimal strings so output is lossless at any magnitude: the CLI lifts
+Python's int/str digit limit when it runs; a JSON number is read from its
+literal, never through a float.  Matrices are lists of rows; `check-tp`
+reads its grid or JSON matrix through `_parse_matrix_text` alone, which
+refuses a decimal exponent beyond `MAX_EXPONENT`, and then refuses (exit 3)
+rows scaled to integers that hold more digits than `MAX_DIGITS_BASE` plus
+`MAX_DIGITS_PER_CHAR` per input character, read off each row's scale before
+the scan builds any scaled entry.  `verify` prints one JSON document on
+stdout and its one-line summary on stderr.
 `scm-count` answers any n from the closed form.
 
 `_legs` alone chooses a system's pipelines: `formula` for B at any rank and
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -332,13 +335,15 @@ def check_tp(args) -> int:
             f"--method all-minors is capped at size {tp.ALL_MINORS_SIZE_CAP} "
             f"(matrix is {size}x{size}); use --method fekete"
         )
-    grid, _ = tp._integer_rows(matrix)
-    # decimal digits from bit lengths, at most one too many per entry
-    digits = sum(x.bit_length() * 30103 // 100_000 + 1 for row in grid for x in row)
-    limit = MAX_DIGITS_BASE + MAX_DIGITS_PER_CHAR * len(text)
-    if digits > limit:
-        raise EnumerationLimit(f"the matrix scaled to integers holds {digits} digits, over the "
-                               f"limit of {limit} for an input of {len(text)} characters")
+    limit, digits = MAX_DIGITS_BASE + MAX_DIGITS_PER_CHAR * len(text), 0
+    for r, row in enumerate(matrix, start=1):
+        # digits of each num * (scale // den) from bit lengths, at most two too many
+        scale_bits = math.lcm(*(x.denominator for x in row)).bit_length()
+        digits += sum((x.numerator.bit_length() + scale_bits + 1 - x.denominator.bit_length()
+                       if x else 0) * 30103 // 100_000 + 1 for x in row)
+        if digits > limit:
+            raise EnumerationLimit(f"the matrix scaled to integers holds {digits} digits by row "
+                                   f"{r}, over {limit} for an input of {len(text)} characters")
     cert = tp.all_minors_positive(matrix) if method == "all-minors" else tp.fekete_check(matrix)
     witness = cert.witness
     if witness is not None:
@@ -484,8 +489,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 def main(args=None, prog_name=None):
     """The `metamatrix` command.  Parses `args` (default: the command line),
     runs the command, and exits with its code; it maps an unsupported system
-    to exit 2, an enumeration limit to exit 3, and any other exception that
-    no command handles to code 4 and a one-line message, not a traceback."""
+    to exit 2, an enumeration limit to 3, a stdout closed by its reader to 141,
+    and any other exception to code 4 and a one-line message, not a traceback."""
     # exact decimal input and output at any length: lift the 4,300-digit
     # int/str limit (releases before 3.10.7 have neither the limit nor the setter)
     lift = getattr(sys, "set_int_max_str_digits", None)
@@ -494,6 +499,12 @@ def main(args=None, prog_name=None):
     parsed = _parser(prog_name or "metamatrix").parse_args(args)  # exits 0 or 2 itself
     try:
         code = parsed.run(parsed)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): exit as SIGPIPE would, silently, and
+        # send what is still buffered to devnull (Python's signal docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, message = 141, None
     except (UsageError, UnsupportedSystem) as exc:
         code, message = 2, str(exc)
     except EnumerationLimit as exc:

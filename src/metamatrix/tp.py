@@ -7,8 +7,9 @@ column windows implies strict total positivity).  Both run one scan,
 `_scan`, over minors that one generator, `_minors`, condenses on their own
 index sets.  The scan works in exact integers, on the rows scaled by the lcm
 of their denominators, and stops at the first minor <= 0, which it
-evaluates again by Bareiss elimination.  The structural reason the type-B
-tables are totally positive, their factorization, is in `typeb`.
+evaluates again by Bareiss elimination.  It is the evidence that the type-B
+tables are totally positive; their `typeb` factorization proves them only
+positive definite.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Counting goes through generalized signed contingency matrices,
 |GSCM_n(p, q)| = C(2pq + p + q + n, n); the counts of signed contingency
 matrices, and with them the type-B metamatrix, fall out by conjugating that
 table with the inverse Pascal matrix (and reversing indices).  The SCM table T
-factors as 2^n n! T = Q C Q^t, which is why it is totally positive.  The
-tests' reference enumerates the matrices (`tests/references.py`).
+factors as 2^n n! T = Q C Q^t (Q invertible, C a positive diagonal), so T is
+positive definite; that it is totally positive rests on `tp.fekete_check`.
+The tests' reference enumerates the matrices (`tests/references.py`).
 """
 
 from __future__ import annotations

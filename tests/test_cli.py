@@ -624,15 +624,40 @@ class TestScmCount:
         assert runner.invoke(main, ["scm-count", "2", "3", "1"]).exit_code == 2
 
 
-def run_cli(args: list[str], stdin: str = "", timeout: float = 120) -> subprocess.CompletedProcess:
+def cli_env() -> dict[str, str]:
+    """The environment that runs `python -m metamatrix.cli` on this source tree."""
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+
+
+def run_cli(args: list[str], stdin: str = "", timeout: float = 120,
+            preexec_fn=None) -> subprocess.CompletedProcess:
     """`python -m metamatrix.cli ARGS` in a fresh interpreter on this source
     tree, so no earlier invocation has changed interpreter-wide settings;
-    raises subprocess.TimeoutExpired after `timeout` seconds."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    raises subprocess.TimeoutExpired after `timeout` seconds.  `preexec_fn`
+    runs in the child before the interpreter starts."""
     return subprocess.run(
         [sys.executable, "-m", "metamatrix.cli", *args], input=stdin,
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=cli_env(), timeout=timeout, preexec_fn=preexec_fn,
     )
+
+
+class TestClosedStdout:
+    """A stdout that its reader closes (as `| head -c 1` does) ends the run
+    as SIGPIPE would: exit 141 and nothing on stderr, not an internal error."""
+
+    def test_reader_closes_after_one_byte(self):
+        # the B64 JSON is about 430 KB, more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "metamatrix.cli", "compute", "--family", "B", "--rank", "64",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        proc.stdout = None  # communicate() then reads stderr alone
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert stderr == b""
 
 
 @contextmanager
@@ -794,6 +819,16 @@ class TestInputErrors:
 # 50-digit denominators, whose rows each scale by an lcm of about 1,200 digits
 E1000_B24 = [[f"{x}e1000" for x in row] for row in metamatrix_typeb(24).entries]
 LCM_25 = [[f"1/{10**49 + 25 * i + j}" for j in range(25)] for i in range(25)]
+# 200 x 200 reciprocals of distinct 100-digit integers (4.1 MB as a grid): scaled,
+# each row holds about 4 M digits, and all of them 775 M digits
+LCM_200_GRID = "\n".join(" ".join(f"1/{10**99 + 200 * i + j}" for j in range(200))
+                         for i in range(200)) + "\n"
+
+
+def cap_address_space_256_mb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
 
 class TestDigitBound:
@@ -815,6 +850,33 @@ class TestDigitBound:
         [line] = proc.stderr.splitlines()
         assert line.startswith("Error: the matrix scaled to integers holds ")
         assert line.endswith(f" for an input of {len(text)} characters")
+
+    def test_hostile_grid_refused_in_256_mb(self):
+        # scaling every row first took 4.9 s and 358 MB, and under this cap
+        # ended in MemoryError (exit 4); the bound is read off the rows' scales
+        proc = run_cli(["check-tp", "-"], stdin=LCM_200_GRID, timeout=10,
+                       preexec_fn=cap_address_space_256_mb)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("Error: the matrix scaled to integers holds ")
+
+    @pytest.mark.parametrize("text, code, calls", [
+        (json.dumps(golden.E6), 0, 1),
+        (json.dumps(E1000_B24), 3, 0),
+    ], ids=["golden-e6", "e1000-b24"])
+    def test_rows_scaled_once_and_only_by_the_scan(self, runner, monkeypatch, text, code, calls):
+        scaled = []
+        integer_rows = tp._integer_rows
+
+        def counted(a):
+            scaled.append(len(a))
+            return integer_rows(a)
+
+        monkeypatch.setattr(tp, "_integer_rows", counted)
+        res = runner.invoke(main, ["check-tp", "-"], input=text)
+        assert res.exit_code == code, res.output
+        assert len(scaled) == calls
 
     def test_b64_table_passes_without_its_scan(self, runner, monkeypatch):
         scanned = []
