@@ -11,15 +11,17 @@ decimal strings so output is lossless at any magnitude: the CLI lifts
 Python's int/str digit limit when it runs; a JSON number is read from its
 literal, never through a float.  Matrices are lists of rows; `check-tp`
 reads its grid or JSON matrix through `_parse_matrix_text` alone, which
-refuses a decimal exponent beyond `MAX_EXPONENT`, and then refuses (exit 3)
+refuses a decimal exponent beyond `MAX_EXPONENT` and an entry longer than
+`MAX_DIGITS_BASE` characters before it is built, and then refuses (exit 3)
 rows scaled to integers that hold more digits than `MAX_DIGITS_BASE` plus
 `MAX_DIGITS_PER_CHAR` per input character, read off each row's scale before
 the scan builds any scaled entry.  `verify` prints one JSON document on
 stdout and its one-line summary on stderr.
 `scm-count` answers any n from the closed form.
 
-`_legs` alone chooses a system's pipelines: `formula` for B at any rank and
-I2 at any m, `enumeration` and `oracle` where the catalog has the system.
+`_legs` chooses the pipelines of `compute` and `verify`: `formula` for B at
+any rank and I2 at any m, `enumeration` and `oracle` where the catalog has
+the system; `ntable` takes I2 from its closed form and enumerates the rest.
 The results are plain data: the CLI names the leg it ran (`"pipeline"`) and
 the certifier (`"method"`; `auto` runs `fekete`) in what it prints.
 N-tables are cached only under `--cache-dir`; without it a run writes
@@ -270,9 +272,10 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
     """The rows of a JSON or whitespace-grid matrix of N rows of N entries.
     Raises ValueError, naming the line (grid) or row (JSON) and the column,
     both counted from 1, on input that is not such a matrix, and on an entry
-    whose decimal exponent exceeds MAX_EXPONENT in magnitude, before its
-    value is built.  The message quotes the bad token, cut to its first
-    characters and its length when it is long."""
+    whose decimal exponent exceeds MAX_EXPONENT in magnitude or that is
+    longer than MAX_DIGITS_BASE characters, before its value is built.  The
+    message quotes the bad token, cut to its first characters and its length
+    when it is long."""
     import re
     from fractions import Fraction
 
@@ -301,9 +304,13 @@ def _parse_matrix_text(text: str) -> list[list[Fraction]]:
                              f"got {len(tokens)}")
         row = []
         for col, token in enumerate(tokens, start=1):
+            # int() is quadratic in the digits: measure the exponent's, and the token, first
             found = exponent.search(token)
-            if found and abs(int(found[1])) > MAX_EXPONENT:
+            digits = found[1].replace("_", "").lstrip("+-0") if found else ""
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                 problem = f"exponent beyond ±{MAX_EXPONENT} in"
+            elif len(token) > MAX_DIGITS_BASE:
+                problem = f"over {MAX_DIGITS_BASE} characters in"
             else:
                 try:
                     row.append(Fraction(token))

@@ -126,27 +126,23 @@ class RootSystem(NamedTuple):
 
 
 def root_system(system: CoxeterSystem) -> RootSystem:
-    """Phi as the orbit of the simple roots under the generators, exactly."""
+    """Phi as the orbit of the simple roots under the generators, exactly: each
+    root is reflected once by each generator, which also fills `generators`."""
     n = system.rank
     coords = [tuple((1, 0) if k == j else (0, 0) for k in range(n)) for j in range(n)]
     index = {root: k for k, root in enumerate(coords)}
-    frontier = coords
-    while frontier:
-        fresh = []
-        for i in range(n):
-            for root in frontier:
-                image = reflect(system, i, root)
-                if image not in index:
-                    index[image] = len(coords) + len(fresh)
-                    fresh.append(image)
-        coords = coords + fresh
-        frontier = fresh
+    generators = [[] for _ in range(n)]
+    for root in coords:  # grows as the search finds new roots
+        for i, images in enumerate(generators):
+            image = reflect(system, i, root)
+            if image not in index:
+                index[image] = len(coords)
+                coords.append(image)
+            images.append(index[image])
     return RootSystem(
         coords=tuple(coords),
         positive=tuple(all(is_nonneg(a, b) for a, b in root) for root in coords),
-        generators=tuple(
-            tuple(index[reflect(system, i, root)] for root in coords) for i in range(n)
-        ),
+        generators=tuple(map(tuple, generators)),
     )
 
 
@@ -166,26 +162,21 @@ def coset_transversal(
     Orbit search on cosets by left multiplication.  By Deodhar's lemma, for a
     minimal representative u and a generator s, either s*u is minimal or
     s*u lies in the coset of u; so only minimal products (no right descent in
-    `small_gens`) are kept and no reduction is needed.
+    `small_gens`) are kept and no reduction is needed.  Both tests read only
+    s*u on the simple roots, so the whole product is built for a new coset only.
     """
     n = roots.rank
     small = [j - 1 for j in small_gens]
     positive = roots.positive
-    e = tuple(range(roots.size))
-    reps = [e]
-    seen = {e[:n]}  # w is determined by the images of the simple roots
-    frontier = reps
-    while frontier:
-        fresh = []
+    reps = [tuple(range(roots.size))]
+    seen = {reps[0][:n]}  # w is determined by the images of the simple roots
+    for u in reps:  # grows as the search finds new cosets
         for i in big_gens:
             g = roots.generators[i - 1]
-            for u in frontier:
-                product = tuple([g[r] for r in u])  # s_i * u
-                if all(positive[product[j]] for j in small) and product[:n] not in seen:
-                    seen.add(product[:n])
-                    fresh.append(product)
-        reps += fresh
-        frontier = fresh
+            head = tuple([g[r] for r in u[:n]])  # s_i * u on the simple roots
+            if all(positive[head[j]] for j in small) and head not in seen:
+                seen.add(head)
+                reps.append(tuple([g[r] for r in u]))
     return reps, [inverse(u) for u in reps]
 
 

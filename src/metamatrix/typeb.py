@@ -76,7 +76,9 @@ def gauss_decomposition_typeb(n: int) -> tuple[list[list[int]], list[int]]:
     prod_{i=1..n} ((2p+1)(2q+1) + 2i - 1), c_k is the coefficient of t^k in
     prod_{i=1..n} (t + 2i - 1), and Q_ik = sum_j (-1)^(i-j) C(i, j) (2j+1)^k.
     By the Leibniz rule for differences, Q_0k = 1 and
-    Q_ik = (2i+1) Q_i,k-1 + 2i Q_i-1,k-1, so Q_kk = 2^k k!.  Q is invertible,
+    Q_ik = (2i+1) Q_i,k-1 + 2i Q_i-1,k-1, so Q_kk = 2^k k!; Q_ik = 0 for i > k
+    (an i-th difference of a degree-k polynomial), and the recurrence writes
+    only i <= k, so Q is upper triangular by construction.  Q is invertible,
     so the exact reconstruction proves T congruent to C.  A failed check is
     a fatal defect and raises AssertionError."""
     table = scm_table(n)  # raises ValueError unless n >= 1
@@ -87,8 +89,6 @@ def gauss_decomposition_typeb(n: int) -> tuple[list[list[int]], list[int]]:
     c = [1]
     for i in range(1, n + 1):
         c = [(2 * i - 1) * a + b for a, b in zip(c + [0], [0] + c)]
-    if any(q[i][k] != 0 for i in range(n + 1) for k in range(i)):
-        raise AssertionError(f"type-B factorization: Q is not upper triangular (n={n})")
     if any(x <= 0 for x in c):
         raise AssertionError(f"type-B factorization: C has a nonpositive entry (n={n})")
     # with Q upper triangular, (Q C Q^t)_ij = sum over k >= max(i, j) of Q_ik c_k Q_jk

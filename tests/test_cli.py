@@ -755,8 +755,17 @@ class TestInputErrors:
         "token,text,message",
         [("1e" + "1" * 100_000, "1e" + "1" * 100_000 + "\n",
           "line 1, column 1: exponent beyond ±1000 in '1e1111"),
-         ("x" * 5001, '[["' + "x" * 5001 + '"]]', "row 1, column 1: cannot parse 'xxxx")],
-        ids=["grid-100000-digit-exponent", "json-5001-character-string"],
+         ("x" * 5001, '[["' + "x" * 5001 + '"]]', "row 1, column 1: cannot parse 'xxxx"),
+         # int() of 2,000,000 digits took 20 s: each is refused before an int is built
+         ("1e" + "1" * 2_000_000, "[[1e" + "1" * 2_000_000 + "]]",
+          "row 1, column 1: exponent beyond ±1000 in '1e1111"),
+         ("1" * 2_000_000, "[[" + "1" * 2_000_000 + "]]",
+          "row 1, column 1: over 50000 characters in '1111"),
+         ("-" + "1" * 2_000_000, "-" + "1" * 2_000_000 + "\n",
+          "line 1, column 1: over 50000 characters in '-111")],
+        ids=["grid-100000-digit-exponent", "json-5001-character-string",
+             "json-2000000-digit-exponent", "json-2000000-digit-literal",
+             "grid-2000000-digit-negative"],
     )
     def test_long_token_is_cut_in_the_diagnostic(self, token, text, message):
         proc = run_cli(["check-tp", "-"], stdin=text, timeout=10)
@@ -765,6 +774,13 @@ class TestInputErrors:
         assert line.startswith(f"Error: cannot read matrix: {message}")
         assert line.endswith(f"... ({len(token)} characters)")
         assert len(line.encode()) < 200
+
+    def test_entry_at_the_length_bound_is_read(self):
+        with any_int_digits():
+            rows = cli._parse_matrix_text("[[" + "7" * cli.MAX_DIGITS_BASE + "]]")
+            assert rows == [[int("7" * cli.MAX_DIGITS_BASE)]]
+        with pytest.raises(ValueError, match="column 1: over 50000 characters in '7777"):
+            cli._parse_matrix_text("7" * (cli.MAX_DIGITS_BASE + 1))
 
     def test_exponent_at_the_bound_is_read(self):
         from fractions import Fraction

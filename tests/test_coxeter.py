@@ -1,6 +1,7 @@
 import pytest
 
 from definitional import ascent_sets, generator_times, group_table, identity, times_generator
+from metamatrix import coxeter
 from metamatrix.coxeter import build_system, is_nonneg, root_system, tower_plan
 from metamatrix.tables import UnsupportedSystem, _group_order
 
@@ -125,6 +126,14 @@ class TestRootSystem:
         assert roots.size == size
         assert sum(roots.positive) == size // 2
 
+    @pytest.mark.parametrize("family,rank,size", [("E", 8, 240), ("H", 4, 120), ("A", 8, 72)])
+    def test_reflects_each_root_once_per_generator(self, monkeypatch, family, rank, size):
+        calls = []
+        reflect = coxeter.reflect
+        monkeypatch.setattr(coxeter, "reflect", lambda *args: calls.append(args) or reflect(*args))
+        assert root_system(build_system(family, rank)).size == size
+        assert len(calls) == rank * size
+
     @pytest.mark.parametrize("family,rank,m", ALL_SYSTEMS)
     def test_generators_are_involutions(self, family, rank, m):
         roots = root_system(build_system(family, rank, m))
@@ -231,7 +240,8 @@ class TestEnumerateTower:
         assert len(keys) == s.order
         assert keys == set(group_table(s).index)
 
-    @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("I2", 2, 5)])
+    @pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H", 3, None), ("I2", 2, 5),
+                                               ("F", 4, None)])
     def test_tower_matrices_equal_bfs_matrices(self, family, rank, m):
         s = build_system(family, rank, m)
         tower = [mat for mat, _ in tower_matrices(tower_plan(s))]
