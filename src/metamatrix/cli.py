@@ -2,21 +2,21 @@
 
 Exit codes: 0 success / totally positive, 1 verified negative result,
 2 usage or parse error, 3 resource limit (`engine.ORACLE_LIMIT`, and the
-`check-tp` digit bound), 4 internal error (an unexpected exception, reported
-in one line), 141 stdout closed by its reader (silent, as SIGPIPE).  A parse
-error (an unknown command or option, a missing or malformed value) is
-argparse's: a `usage:` line and the message on stderr.  Every other error
-prints one `Error: <msg>` line.  All big integers are read and emitted as
-decimal strings so output is lossless at any magnitude: the CLI lifts
-Python's int/str digit limit when it runs; a JSON number is read from its
-literal, never through a float.  Matrices are lists of rows; `check-tp`
-reads its grid or JSON matrix through `_parse_matrix_text` alone, which
-refuses a decimal exponent beyond `MAX_EXPONENT` and an entry longer than
-`MAX_DIGITS_BASE` characters before it is built, and then refuses (exit 3)
-rows scaled to integers that hold more digits than `MAX_DIGITS_BASE` plus
-`MAX_DIGITS_PER_CHAR` per input character, read off each row's scale before
-the scan builds any scaled entry.  `verify` prints one JSON document on
-stdout and its one-line summary on stderr.
+`check-tp` digit and work bounds), 4 internal error (an unexpected
+exception, reported in one line), 141 stdout closed by its reader (silent,
+as SIGPIPE).  A parse error (an unknown command or option, a missing or
+malformed value) is argparse's: a `usage:` line and the message on stderr.
+Every other error prints one `Error: <msg>` line.  All big integers are
+read and emitted as decimal strings so output is lossless at any magnitude:
+the CLI lifts Python's int/str digit limit when it runs; a JSON number is
+read from its literal, never through a float.  Matrices are lists of rows;
+`check-tp` reads its grid or JSON matrix through `_parse_matrix_text` alone,
+which refuses a decimal exponent beyond `MAX_EXPONENT` and an entry longer
+than `MAX_DIGITS_BASE` characters before it is built.  It then refuses a
+matrix whose scaled digits (`tp.scaled_digits`) exceed `MAX_DIGITS_BASE`
+plus `MAX_DIGITS_PER_CHAR` per input character, or whose scan `tp.scan_work`
+models above `MAX_SCAN_WORK`.  `verify` prints one JSON document on stdout
+and its one-line summary on stderr.
 `scm-count` answers any n from the closed form.
 
 `_legs` chooses the pipelines of `compute` and `verify`: `formula` for B at
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -266,6 +265,7 @@ MAX_EXPONENT = 1000
 # check-tp refuses (exit 3) more than MAX_DIGITS_BASE + MAX_DIGITS_PER_CHAR per input character
 MAX_DIGITS_BASE = 50_000
 MAX_DIGITS_PER_CHAR = 10
+MAX_SCAN_WORK = 1_200_000_000_000  # and a tp.scan_work above twice the B64 table's 5.87e11
 
 
 def _parse_matrix_text(text: str) -> list[list[Fraction]]:
@@ -342,15 +342,17 @@ def check_tp(args) -> int:
             f"--method all-minors is capped at size {tp.ALL_MINORS_SIZE_CAP} "
             f"(matrix is {size}x{size}); use --method fekete"
         )
-    limit, digits = MAX_DIGITS_BASE + MAX_DIGITS_PER_CHAR * len(text), 0
+    limit, digits, scaled = MAX_DIGITS_BASE + MAX_DIGITS_PER_CHAR * len(text), 0, []
     for r, row in enumerate(matrix, start=1):
-        # digits of each num * (scale // den) from bit lengths, at most two too many
-        scale_bits = math.lcm(*(x.denominator for x in row)).bit_length()
-        digits += sum((x.numerator.bit_length() + scale_bits + 1 - x.denominator.bit_length()
-                       if x else 0) * 30103 // 100_000 + 1 for x in row)
+        scaled.append(tp.scaled_digits(row))
+        digits += sum(scaled[-1])
         if digits > limit:
             raise EnumerationLimit(f"the matrix scaled to integers holds {digits} digits by row "
                                    f"{r}, over {limit} for an input of {len(text)} characters")
+    work = tp.scan_work(scaled, all_minors=method == "all-minors")
+    if work > MAX_SCAN_WORK:
+        raise EnumerationLimit(f"the {method} scan is modelled at {work:.3g} digit^2 of work, "
+                               f"over {MAX_SCAN_WORK:.3g}")
     cert = tp.all_minors_positive(matrix) if method == "all-minors" else tp.fekete_check(matrix)
     witness = cert.witness
     if witness is not None:

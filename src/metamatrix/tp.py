@@ -7,16 +7,17 @@ column windows implies strict total positivity).  Both run one scan,
 `_scan`, over minors that one generator, `_minors`, condenses on their own
 index sets.  The scan works in exact integers, on the rows scaled by the lcm
 of their denominators, and stops at the first minor <= 0, which it
-evaluates again by Bareiss elimination.  It is the evidence that the type-B
-tables are totally positive; their `typeb` factorization proves them only
-positive definite.
+evaluates again by Bareiss elimination.  When the scaled rows are symmetric,
+a minor is checked once and its transpose counts as checked too.  The scan
+is the evidence that the type-B tables are totally positive; their `typeb`
+factorization proves them only positive definite.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 ALL_MINORS_SIZE_CAP = 12
@@ -30,7 +31,8 @@ class MinorWitness(NamedTuple):
 
 class TPCertificate(NamedTuple):
     """How many minors a scan checked, and the first one <= 0 (None when the
-    matrix is totally positive)."""
+    matrix is totally positive).  On a matrix whose scaled rows are
+    symmetric, a minor read off its transpose counts as checked."""
 
     minors_checked: int
     witness: MinorWitness | None
@@ -53,6 +55,29 @@ def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
         for row, scale in zip(a, scales)
     ]
     return grid, scales
+
+
+def scaled_digits(row) -> list[int]:
+    """The decimal digits of each entry of `row` as `_integer_rows` scales it,
+    from bit lengths, at most two too many, without building any of them."""
+    scale_bits = math.lcm(*(x.denominator for x in row)).bit_length()
+    return [(x.numerator.bit_length() + scale_bits + 1 - x.denominator.bit_length()
+             if x else 0) * 30103 // 100_000 + 1 for x in row]
+
+
+def scan_work(digits: list[list[int]], all_minors: bool) -> int:
+    """The modelled work of a scan, from each row's `scaled_digits`: with w_i
+    the most digits in row i, a minor on rows R costs (sum of w_i over R)^2, as
+    long division is quadratic, once per column set of its size, for R every
+    subset (all minors) or every window (Fekete, by prefix sums in O(n^2))."""
+    widths = [max(row) for row in digits]
+    n, prefix = len(widths), [0, *accumulate(widths)]
+    work = 0
+    for k in range(1, n + 1):
+        sums = ([sum(widths[i] for i in s) for s in combinations(range(n), k)] if all_minors
+                else [prefix[i + k] - prefix[i] for i in range(n - k + 1)])
+        work += len(sums) * sum(x * x for x in sums)
+    return work
 
 
 def _bareiss_int(grid: list[list[int]]) -> int:
@@ -118,9 +143,11 @@ def _minors(grid: list[list[int]], index_sets):
     AssertionError.  Each size is a list of rows, by the rank of the row
     set, of minors, by the rank of the column set.  Two sizes down, only the
     rows some row set divides by are kept, those without 0 or n - 1, each up
-    to its last such set, which is (m_1 - 1, *m, n - 1) for middle m.
+    to its last such set, which is (m_1 - 1, *m, n - 1) for middle m.  On a
+    symmetric grid, a minor below the diagonal is read off its transpose.
     """
     n = len(grid)
+    symmetric = all(grid[i][j] == grid[j][i] for i in range(n) for j in range(i))
     older, older_rank = [[1]], {(): 0}
     prev, prev_rank = grid, {(i,): i for i in range(n)}
     for i, row in enumerate(grid):
@@ -131,10 +158,11 @@ def _minors(grid: list[list[int]], index_sets):
         # per set: the ranks of it without its first index, its last, and both
         drops = [(prev_rank[s[1:]], prev_rank[s[:-1]], older_rank[s[1:-1]]) for s in sets]
         level = []
-        for rows, (tail, head, inner) in zip(sets, drops):
+        for r, (rows, (tail, head, inner)) in enumerate(zip(sets, drops)):
             tail_row, head_row, inner_row = prev[tail], prev[head], older[inner]
-            row = []
-            for cols, (t, h, i) in zip(sets, drops):
+            row = [level[c][r] for c in range(r)] if symmetric else []
+            yield from ((rows, cols, value) for cols, value in zip(sets, row))
+            for cols, (t, h, i) in zip(sets[len(row):], drops[len(row):]):
                 value, rem = divmod(tail_row[t] * head_row[h] - tail_row[h] * head_row[t],
                                     inner_row[i])
                 if rem:

@@ -839,6 +839,11 @@ LCM_25 = [[f"1/{10**49 + 25 * i + j}" for j in range(25)] for i in range(25)]
 # each row holds about 4 M digits, and all of them 775 M digits
 LCM_200_GRID = "\n".join(" ".join(f"1/{10**99 + 200 * i + j}" for j in range(200))
                          for i in range(200)) + "\n"
+# The B9 table with 49,900 zeros appended to every entry (5.0 MB as a grid), and
+# the B11 table with every entry padded with zeros to 4,000 digits: both pass the
+# digit bound, and their scans are modelled at 1.3e13 and (all minors) 1.6e15
+ZEROS_B9 = [[f"{x}{'0' * 49_900}" for x in row] for row in metamatrix_typeb(9).entries]
+PADDED_B11 = [[str(x).ljust(4000, "0") for x in row] for row in metamatrix_typeb(11).entries]
 
 
 def cap_address_space_256_mb():
@@ -850,22 +855,31 @@ def cap_address_space_256_mb():
 class TestDigitBound:
     """check-tp refuses, with exit 3 and before its scan, rows scaled to
     integers that hold more digits than cli.MAX_DIGITS_BASE plus
-    cli.MAX_DIGITS_PER_CHAR per input character."""
+    cli.MAX_DIGITS_PER_CHAR per input character, and a scan whose work
+    tp.scan_work models above cli.MAX_SCAN_WORK."""
 
     @pytest.mark.parametrize("layout", ["json", "grid"])
-    @pytest.mark.parametrize("rows", [E1000_B24, LCM_25], ids=["e1000-b24", "lcm-25x25"])
-    def test_refused_within_10_s(self, rows, layout):
+    @pytest.mark.parametrize("rows, method, bound", [
+        (E1000_B24, "auto", "digits"), (LCM_25, "auto", "digits"),
+        (ZEROS_B9, "fekete", "work"), (PADDED_B11, "all-minors", "work"),
+    ], ids=["e1000-b24", "lcm-25x25", "zeros-b9", "padded-b11-all-minors"])
+    def test_refused_within_10_s(self, rows, method, bound, layout):
         if layout == "json":
             text = json.dumps({"matrix": rows})
         else:
             text = "\n".join(" ".join(row) for row in rows) + "\n"
-        # the e1000 table took 8.2 s to scan; run_cli raises TimeoutExpired after 10 s
-        proc = run_cli(["check-tp", "-"], stdin=text, timeout=10)
+        # the e1000 table took 8.2 s to scan, and the zeros-b9 one over 120 s;
+        # run_cli raises TimeoutExpired after 10 s
+        proc = run_cli(["check-tp", "-", "--method", method], stdin=text, timeout=10)
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
-        assert line.startswith("Error: the matrix scaled to integers holds ")
-        assert line.endswith(f" for an input of {len(text)} characters")
+        if bound == "digits":
+            assert line.startswith("Error: the matrix scaled to integers holds ")
+            assert line.endswith(f" for an input of {len(text)} characters")
+        else:
+            assert line.startswith(f"Error: the {method} scan is modelled at ")
+            assert line.endswith(f" digit^2 of work, over {cli.MAX_SCAN_WORK:.3g}")
 
     def test_hostile_grid_refused_in_256_mb(self):
         # scaling every row first took 4.9 s and 358 MB, and under this cap

@@ -303,11 +303,16 @@ def scan_matches_bareiss(certify, reference):
         def test_row_scaled_tables(self, a):
             self.check(a)
 
-        # the rest of the golden tables, and the type-B tables up to rank 8
+        # the rest of the golden tables, the type-B tables up to rank 8, and two
+        # matrices whose scaled rows are not symmetric: F4 but for one entry, and
+        # the symmetric 6 x 6 Hilbert matrix, whose rows scale by different lcms
         @pytest.mark.parametrize("a", tp_tables() + [
             golden.H4, golden.E6, golden.E7, golden.E8,
             *(golden.dihedral_metamatrix(m) for m in range(2, 9)),
             *(scm_table(n) for n in (1, 7, 8)),
+            [[x + ((i, j) == (4, 3)) for j, x in enumerate(row)]
+             for i, row in enumerate(golden.F4)],
+            [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)],
         ])
         def test_tp_tables(self, a):
             self.check(a)
@@ -359,6 +364,57 @@ class TestAllMinorsMatchesBareiss(
         cert = all_minors_positive(metamatrix_typeb(9).entries)
         assert cert.is_totally_positive
         assert cert.minors_checked == math.comb(20, 10) - 1
+
+
+@pytest.mark.parametrize("certify, a, steps", [
+    (fekete_check, metamatrix_typeb(24).entries, 2_600),
+    (all_minors_positive, golden.E8, 24_520),
+], ids=["fekete-b24", "all-minors-e8"])
+def test_symmetric_grid_condenses_each_transposed_pair_once(monkeypatch, certify, a, steps):
+    # the full scans take 4,900 and 48,538 condensation steps
+    calls = []
+
+    def counted(x, y):
+        calls.append(y)
+        return divmod(x, y)
+
+    monkeypatch.setattr(tp, "divmod", counted, raising=False)
+    assert certify(a).is_totally_positive
+    assert len(calls) == steps
+
+
+big_fractions = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30))
+
+
+class TestScanPrice:
+    """tp.scaled_digits counts the digits of each entry that tp._integer_rows
+    builds, at most two too many, and tp.scan_work sums the squared digits
+    of each scanned row set once per column set."""
+
+    def check(self, a):
+        for row, scaled in zip(a, tp._integer_rows(a)[0]):
+            actual = [len(str(abs(x))) for x in scaled]
+            assert all(d <= c <= d + 2 for c, d in zip(tp.scaled_digits(row), actual))
+
+    @pytest.mark.parametrize("a", [*golden.EXCEPTIONAL.values(), metamatrix_typeb(64).entries],
+                             ids=[*golden.EXCEPTIONAL, "B64"])
+    def test_digits_of_golden_tables(self, a):
+        self.check(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(small_fractions | big_fractions, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_digits_of_fraction_matrices(self, a):
+        self.check(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 50), min_size=1, max_size=3), min_size=1, max_size=7))
+    def test_work_by_windows(self, digits):
+        n, widths = len(digits), [max(row) for row in digits]
+        windows = [[range(i, i + k) for i in range(n - k + 1)] for k in range(1, n + 1)]
+        work = sum(len(sets) * sum(sum(widths[i] for i in s) ** 2 for s in sets)
+                   for sets in windows)
+        assert tp.scan_work(digits, all_minors=False) == work
 
 
 class TestIntegerConjugation:
